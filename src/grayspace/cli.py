@@ -8,6 +8,7 @@ parameters, 3 dimension mismatch, 4 file parse failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import statistics
@@ -117,10 +118,8 @@ def cmd_decode(args) -> int:
                        EXIT_DIMENSION)
     if args.via_dual:
         m = codec.decode_via_dual(params, sub)
-    elif args.fast:
-        m = codec.decode_fast(params, sub)
     else:
-        m = codec.decode(params, sub)
+        m = codec.decode_fast(params, sub)
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "q": ctx.q,
                           "index": str(m)}))
@@ -160,7 +159,7 @@ def cmd_proj(args) -> int:
                        "even n have none" % n, EXIT_PARAMS)
     out, close = _open_out(args.out)
     try:
-        projective_gray.write_proj_file(out, seq)
+        grassmann_gray.write_gray_file(out, seq)
     finally:
         if close:
             out.close()
@@ -188,18 +187,9 @@ def cmd_nonexist(args) -> int:
 
 def cmd_verify(args) -> int:
     text = _read_in(args.file)
-    head = text.lstrip().split(None, 1)
-    kind = head[0] if head else ""
     try:
-        import io
-        if kind == "GRAY":
-            seq = grassmann_gray.read_gray_file(io.StringIO(text))
-            report = grassmann_gray.verify_gray(seq)
-        elif kind == "PROJ":
-            seq = projective_gray.read_proj_file(io.StringIO(text))
-            report = projective_gray.verify_subspace(seq)
-        else:
-            raise CliError("unrecognized file header", EXIT_PARSE)
+        seq = grassmann_gray.read_gray_file(io.StringIO(text))
+        report = grassmann_gray.verify_gray(seq)
     except ValueError as exc:
         raise CliError("parse failure: %s" % exc, EXIT_PARSE)
     if report.passed:
@@ -275,7 +265,9 @@ def build_parser():
     add_nkq(p)
     p.add_argument("--input", default=None,
                    help="subspace file (default stdin)")
-    p.add_argument("--fast", action="store_true")
+    p.add_argument("--fast", action="store_true",
+                   help="accepted for compatibility; decode always takes "
+                        "the fast path")
     p.add_argument("--via-dual", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decode)

@@ -16,18 +16,19 @@ each level one vector spanning the successor modulo the base, read off
 the base's own decoded block position, so the closing class costs a
 single vector reduction and no successor is ever encoded; it also strips
 all trailing zero columns in one step.  decode is the oracle decode_fast
-is tested against.
+is tested against; decode_via_dual and the command line use decode_fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
                              closing_class_from_direction,
                              closing_class_index, _append_zero_col,
-                             _nonpivot_columns, _rep_vector)
+                             _class_digits, _nonpivot_columns, _rep_vector)
 from .linalg import CanonicalSubspace, extend_subspace, simple_subspace
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
 
@@ -100,6 +101,8 @@ def _encode(n, k, q, ctx, m, g, memo):
 
 def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     """The m-th subspace of the simple (n,k;q) Gray code."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError("index must be an int, not %s" % type(m).__name__)
     total = params.size
     if not 0 <= m < total:
         raise ValueError("index %d out of range [0, %d)" % (m, total))
@@ -130,19 +133,11 @@ def _last_nonzero(r):
         return max(c for c, x in enumerate(r) if x)
 
 
-def _class_digits(v, nonpiv, q):
-    c = 0
-    for r in reversed(nonpiv):
-        c = c * q + v[r]
-    return c
-
-
 def _extension_parts(ctx, n, rows):
     """The extending row and the canonical base left when it is removed."""
     v, inner_rows = _split_extension(rows, n)
     base = CanonicalSubspace(ctx, n - 1, tuple(inner_rows),
-                             tuple(next(c for c, x in enumerate(r) if x)
-                                   for r in inner_rows))
+                             tuple(_leading_column(r) for r in inner_rows))
     return v, base
 
 
@@ -248,16 +243,40 @@ def _decode_fast(n, k, q, ctx, rows, want_next):
     return index, _class_step(ctx.sub, q, nonpiv, n, c, c2)
 
 
+def _leading_column(r):
+    """Column of r's first nonzero entry; len(r) for a zero row."""
+    return next(compress(count(), r), len(r))
+
+
 def _check_input(params, W):
+    """Reject a subspace of the wrong shape or field, or of rank below k.
+
+    Nonzero rows with strictly increasing leading columns certify rank k.
+    """
     if W.n != params.n or W.k != params.k:
         raise ValueError("subspace has parameters (%d, %d), codec expects "
                          "(%d, %d)" % (W.n, W.k, params.n, params.k))
     if W.ctx is not params.ctx:
         raise ValueError("field mismatch")
+    last = -1
+    for r in W.rows:
+        lead = _leading_column(r)
+        if not last < lead < len(r):
+            raise ValueError("rows are not a row echelon basis of rank %d"
+                             % W.k)
+        last = lead
 
 
 def decode(params: CodecParams, W: CanonicalSubspace) -> int:
-    """Index of W in the simple (n,k;q) Gray code."""
+    """Index of W in the simple (n,k;q) Gray code.
+
+    W's rows must be nonzero with strictly increasing leading columns
+    (ValueError otherwise).  The full canonical form is not checked, as
+    that costs one canonicalize per call: a hand-built CanonicalSubspace
+    whose rows are not the canonical matrix decodes to an unspecified
+    index.  Subspaces from encode, canonicalize or parse_subspace are
+    canonical.
+    """
     _check_input(params, W)
     return _decode(params.n, params.k, params.q, params.ctx,
                    list(W.rows), params.size, {})
@@ -268,6 +287,7 @@ def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
 
     The closing class of every block comes from one successor direction
     carried up the recursion (see _decode_fast); decode is the reference.
+    Input is checked as in decode, canonical form excepted.
     """
     _check_input(params, W)
     return _decode_fast(params.n, params.k, params.q, params.ctx, W.rows,
@@ -291,8 +311,9 @@ def encode_via_dual(params: CodecParams, m: int) -> CanonicalSubspace:
 
 
 def decode_via_dual(params: CodecParams, W: CanonicalSubspace) -> int:
+    """Inverse of encode_via_dual, through decode_fast."""
     from .linalg import dual
     if 2 * params.k <= params.n:
-        return decode(params, W)
+        return decode_fast(params, W)
     _check_input(params, W)
-    return decode(_dual_params(params), dual(W))
+    return decode_fast(_dual_params(params), dual(W))

@@ -8,7 +8,6 @@ whenever elements are serialized.
 
 A FieldContext performs arithmetic directly on indices (`ctx.add`, `ctx.mul`,
 ...); this is the fast path used by the matrix and Gray-code machinery.
-FieldElement wraps an index with operator overloads for convenience.
 
 Extension fields can be built over any existing context (`extend_field`),
 which is how GF(q^n) is realized as a degree-n extension of GF(q): its
@@ -19,7 +18,6 @@ over GF(q).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 _DEFAULT_MAX_Q = 65536
@@ -329,54 +327,6 @@ class FieldContext:
         return "FieldContext(GF(%s))" % self.name()
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element: a context plus its index alpha_i."""
-    ctx: FieldContext
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.ctx.q:
-            raise ValueError("element index %d out of range for GF(%d)"
-                             % (self.index, self.ctx.q))
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.coeffs(self.index)
-
-    def _check(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement) or other.ctx is not self.ctx:
-            raise ValueError("mixed-context field operands")
-        return other
-
-    def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx.add(self.index,
-                                                   self._check(other).index))
-
-    def __sub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self.index,
-                                                   self._check(other).index))
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx.mul(self.index,
-                                                   self._check(other).index))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.index))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.index))
-
-    def __truediv__(self, other):
-        return self * self._check(other).inverse()
-
-    def __bool__(self):
-        return self.index != 0
-
-
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int) -> FieldContext:
     """GF(p^m) with the lexicographically least irreducible monic modulus.
@@ -435,18 +385,3 @@ def parse_field_spec(spec: str) -> FieldContext:
         ps, ms = spec.split("^", 1)
         return make_field(int(ps), int(ms))
     return field_from_order(int(spec))
-
-
-def element_by_index(ctx: FieldContext, i: int) -> FieldElement:
-    if not 0 <= i < ctx.q:
-        raise ValueError("index %d out of range for GF(%d)" % (i, ctx.q))
-    return FieldElement(ctx, i)
-
-
-def rho(e: FieldElement) -> int:
-    """Position of an element in the fixed order alpha_0..alpha_{q-1}."""
-    return e.index
-
-
-def primitive_element(ctx: FieldContext) -> FieldElement:
-    return FieldElement(ctx, ctx.primitive_index())

@@ -15,13 +15,15 @@ construction's degrees of freedom and validates every proposed choice.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field as dfield
 
-from .field import FieldContext
+from .field import FieldContext, field_from_order
 from .linalg import (CanonicalSubspace, canonicalize, contains, dual,
                      extend_subspace, grassmann_adjacent, intersect,
-                     is_simple, pack_subspace, reduce_vector, simple_subspace,
-                     span_vectors, format_subspace, parse_subspace)
+                     is_simple, pack_subspace, projective_adjacent,
+                     reduce_vector, simple_subspace, format_subspace,
+                     parse_subspace)
 from .qcombin import gaussian
 
 
@@ -31,9 +33,15 @@ class ConstraintViolation(Exception):
 
 @dataclass(frozen=True)
 class GraySequence:
-    """An (n,k;q)-Grassmannian Gray code as an explicit item list."""
+    """A subspace Gray code as an explicit item list.
+
+    With k set, an (n,k;q)-Grassmannian code: k-dim items, consecutive ones
+    adjacent in the Grassmann graph.  With k None, a code in the
+    projective-space graph P_q(n): items of any dimension, consecutive ones
+    nested with dimensions differing by one.
+    """
     n: int
-    k: int
+    k: int | None
     ctx: FieldContext
     items: tuple
     cyclic: bool
@@ -83,6 +91,28 @@ def _nonpivot_columns(base: CanonicalSubspace):
     return out
 
 
+def _rep_vector(base, nonpiv, j):
+    """Representative of class j: base-q digits of j on nonpiv, last 1."""
+    q = base.ctx.q
+    n = base.n + 1
+    v = [0] * n
+    v[n - 1] = 1
+    for r in nonpiv:
+        if not j:
+            break
+        j, d = divmod(j, q)
+        v[r] = d
+    return v
+
+
+def _class_digits(v, nonpiv, q):
+    """Inverse of _rep_vector: the class index read off v's digits."""
+    c = 0
+    for r in reversed(nonpiv):
+        c = c * q + v[r]
+    return c
+
+
 def explicit_representatives(base: CanonicalSubspace,
                              ctx: FieldContext) -> ExtensionFamily:
     """The specialized choice of class representatives for one base.
@@ -92,20 +122,10 @@ def explicit_representatives(base: CanonicalSubspace,
     """
     if base.ctx is not ctx:
         raise ValueError("base does not belong to the given field")
-    q = ctx.q
-    n = base.n + 1
     nonpiv = _nonpivot_columns(base)
-    width = q ** len(nonpiv)
-    reps = []
-    for j in range(width):
-        v = [0] * n
-        v[n - 1] = 1
-        jj = j
-        for r in nonpiv:
-            jj, d = divmod(jj, q)
-            v[r] = d
-        reps.append(tuple(v))
-    return ExtensionFamily(base, tuple(reps))
+    return ExtensionFamily(base, tuple(
+        tuple(_rep_vector(base, nonpiv, j))
+        for j in range(ctx.q ** len(nonpiv))))
 
 
 def class_representative(base: CanonicalSubspace, v):
@@ -135,24 +155,7 @@ def class_representative(base: CanonicalSubspace, v):
 
 def class_index(base: CanonicalSubspace, rep) -> int:
     """Position j of a canonical class representative in the explicit order."""
-    q = base.ctx.q
-    j = 0
-    for r in reversed(_nonpivot_columns(base)):
-        j = j * q + rep[r]
-    return j
-
-
-def class_vectors(base: CanonicalSubspace, v):
-    """Every member of [v]_base: alpha*v + w for alpha != 0, w in the base."""
-    ctx = base.ctx
-    add, mul = ctx.add, ctx.mul
-    out = []
-    span = [w + (0,) for w in span_vectors(base)]
-    for alpha in range(1, ctx.q):
-        av = tuple(mul(alpha, x) for x in v)
-        for w in span:
-            out.append(tuple(add(x, y) for x, y in zip(av, w)))
-    return out
+    return _class_digits(rep, _nonpivot_columns(base), base.ctx.q)
 
 
 def compatible_next_vectors(c1: CanonicalSubspace, c2: CanonicalSubspace,
@@ -277,19 +280,6 @@ def class_at_position(last: int, width: int, j: int) -> int:
     return j if j < last else j + 1
 
 
-def _rep_vector(base, nonpiv, j):
-    q = base.ctx.q
-    n = base.n + 1
-    v = [0] * n
-    v[n - 1] = 1
-    for r in nonpiv:
-        if not j:
-            break
-        j, d = divmod(j, q)
-        v[r] = d
-    return v
-
-
 def iter_simple(n: int, k: int, ctx: FieldContext):
     """Stream the simple cyclic optimal (n,k;q)-code in index order."""
     if not 0 <= k <= n:
@@ -400,13 +390,19 @@ class ScriptedChoiceSource(ChoiceSource):
 
 
 def _allowed_class_indices(prev_base, prev_rep, cur_base):
-    """Class indices of cur_base whose class meets [prev_rep]_prev_base."""
-    out = set()
-    for vec in class_vectors(prev_base, prev_rep):
-        rep = class_representative(cur_base, vec)
-        out.add(class_index(cur_base, rep))
-    assert len(out) == cur_base.ctx.q  # exactly q compatible successors
-    return out
+    """Class indices of cur_base whose class meets [prev_rep]_prev_base.
+
+    The bases are consecutive in a Gray code, so prev_base is their
+    intersection plus one row u outside cur_base, and modulo cur_base the
+    class [prev_rep]_prev_base falls into the q classes of prev_rep + eps*u
+    (the argument of compatible_next_vectors).
+    """
+    ctx = cur_base.ctx
+    add, mul = ctx.add, ctx.mul
+    u = next(r for r in prev_base.rows if not contains(cur_base, r)) + (0,)
+    return {class_index(cur_base, class_representative(
+                cur_base, [add(x, mul(eps, y)) for x, y in zip(prev_rep, u)]))
+            for eps in range(ctx.q)}
 
 
 def build_general(n: int, k: int, ctx: FieldContext,
@@ -505,13 +501,14 @@ def _build_general(n, k, ctx, source, cache):
 
 
 # ---------------------------------------------------------------------------
-# Verification harness (uses only linalg primitives) and duality.
+# Verification harness (uses only linalg primitives) and duality.  Both
+# code families share it; k=None selects the projective-space graph.
 
 
 @dataclass
 class GrayReport:
     n: int
-    k: int
+    k: int | None
     q: int
     cyclic: bool
     size: int
@@ -538,7 +535,19 @@ class GrayReport:
 
 def verify_gray_stream(items, n, k, ctx, cyclic=True,
                        require_optimal=True) -> GrayReport:
-    """Check a streamed item sequence against the Gray-code definition."""
+    """Check a streamed item sequence against the Gray-code definition.
+
+    With k None the items may have any dimension, consecutive ones must be
+    adjacent in P_q(n), and an optimal code lists every subspace of W^n.
+    """
+    if k is None:
+        adjacent = projective_adjacent
+        expected = sum(gaussian(n, d, ctx.q) for d in range(n + 1))
+        size_failure = "size %d != total subspace count %d"
+    else:
+        adjacent = grassmann_adjacent
+        expected = gaussian(n, k, ctx.q)
+        size_failure = "size %d != [n k]_q = %d"
     seen = set()
     duplicates = 0
     adjacency_failures = 0
@@ -546,7 +555,8 @@ def verify_gray_stream(items, n, k, ctx, cyclic=True,
     size = 0
     failures = []
     for item in items:
-        if item.n != n or item.k != k or item.ctx is not ctx:
+        if (item.n != n or (item.k != k and k is not None)
+                or item.ctx is not ctx):
             failures.append("item %d has wrong parameters" % size)
             size += 1
             continue
@@ -554,19 +564,18 @@ def verify_gray_stream(items, n, k, ctx, cyclic=True,
         if key in seen:
             duplicates += 1
         seen.add(key)
-        if prev is not None and not grassmann_adjacent(prev, item):
+        if prev is not None and not adjacent(prev, item):
             adjacency_failures += 1
         if first is None:
             first = item
         prev = item
         size += 1
-    expected = gaussian(n, k, ctx.q)
     wraparound_ok = None
-    if cyclic and size > 1:
-        wraparound_ok = grassmann_adjacent(prev, first)
+    if cyclic and size > 1 and first is not None:
+        wraparound_ok = adjacent(prev, first)
     first_simple = is_simple(first) if first is not None else False
     ends_simple = None
-    if first is not None and size > 1 and k >= 1:
+    if k and first is not None and size > 1:
         ends_simple = is_simple(intersect(first, prev))
     if duplicates:
         failures.append("%d duplicate subspaces" % duplicates)
@@ -576,7 +585,7 @@ def verify_gray_stream(items, n, k, ctx, cyclic=True,
     if wraparound_ok is False:
         failures.append("last and first items not adjacent")
     if require_optimal and size != expected:
-        failures.append("size %d != [n k]_q = %d" % (size, expected))
+        failures.append(size_failure % (size, expected))
     return GrayReport(n, k, ctx.q, cyclic, size, expected, duplicates,
                       adjacency_failures, wraparound_ok, first_simple,
                       ends_simple, failures)
@@ -589,18 +598,28 @@ def verify_gray(seq: GraySequence, require_optimal=True) -> GrayReport:
 
 
 def dual_code(seq: GraySequence) -> GraySequence:
-    """Item-wise orthogonal complement: an (n, n-k; q) Gray sequence."""
-    return GraySequence(seq.n, seq.n - seq.k, seq.ctx,
+    """Item-wise orthogonal complement: an (n, n-k; q) Gray sequence.
+
+    Complements reverse containment, so a projective-space code (k None)
+    maps to another one.
+    """
+    k = None if seq.k is None else seq.n - seq.k
+    return GraySequence(seq.n, k, seq.ctx,
                         tuple(dual(item) for item in seq.items), seq.cyclic)
 
 
 # ---------------------------------------------------------------------------
-# GRAY file format: header "GRAY n k q P cyclic", then P subspace blocks in
-# the linalg textual format separated by blank lines.
+# File format: a header "GRAY n k q P cyclic" (Grassmannian code) or
+# "PROJ n q P cyclic" (projective-space code, k None), then P subspace
+# blocks in the linalg textual format separated by blank lines.
 
 
 def write_gray_stream(f, n, k, ctx, items, count, cyclic=True):
-    f.write("GRAY %d %d %d %d %d\n" % (n, k, ctx.q, count, 1 if cyclic else 0))
+    cyc = 1 if cyclic else 0
+    if k is None:
+        f.write("PROJ %d %d %d %d\n" % (n, ctx.q, count, cyc))
+    else:
+        f.write("GRAY %d %d %d %d %d\n" % (n, k, ctx.q, count, cyc))
     for item in items:
         f.write("\n")
         f.write(format_subspace(item))
@@ -613,22 +632,30 @@ def write_gray_file(f, seq: GraySequence):
 
 
 def read_gray_file(f) -> GraySequence:
-    from .field import field_from_order
-    text = f.read()
-    chunks = [c for c in text.split("\n\n") if c.strip()]
-    header = chunks[0].splitlines()[0].split()
-    if len(header) != 6 or header[0] != "GRAY":
-        raise ValueError("not a GRAY file")
-    n, k, q, count, cyc = (int(x) for x in header[1:])
+    """Parse a GRAY or PROJ file; a PROJ file gives a sequence with k None.
+
+    Blocks are split at whitespace-only lines, so CRLF line ends and
+    trailing blanks are accepted.
+    """
+    chunks = [c for c in re.split(r"\n\s*\n", f.read()) if c.strip()]
+    if not chunks:
+        raise ValueError("empty file")
+    head = chunks[0].strip().splitlines()
+    header = head[0].split()
+    kind = header[0]
+    if kind not in ("GRAY", "PROJ"):
+        raise ValueError("unrecognized file header")
+    if len(header) != (6 if kind == "GRAY" else 5):
+        raise ValueError("not a %s file" % kind)
+    values = [int(x) for x in header[1:]]
+    if kind == "PROJ":
+        values.insert(1, None)
+    n, k, q, count, cyc = values
+    if len(head) > 1:
+        raise ValueError("malformed %s header block" % kind)
     ctx = field_from_order(q)
-    blocks = chunks[0].splitlines()[1:]
-    items = []
-    if blocks:
-        raise ValueError("malformed GRAY header block")
-    for chunk in chunks[1:]:
-        sub, _ = parse_subspace(chunk, ctx)
-        items.append(sub)
+    items = tuple(parse_subspace(chunk, ctx)[0] for chunk in chunks[1:])
     if len(items) != count:
-        raise ValueError("GRAY file: expected %d blocks, found %d"
-                         % (count, len(items)))
-    return GraySequence(n, k, ctx, tuple(items), bool(cyc))
+        raise ValueError("%s file: expected %d blocks, found %d"
+                         % (kind, count, len(items)))
+    return GraySequence(n, k, ctx, items, bool(cyc))

@@ -5,32 +5,22 @@ counting argument exactly.  For n = 1, 3, 5 cyclic optimal codes are
 constructed: the middle levels are covered by expanding a short necklace
 path under multiplication by a primitive element of GF(q^n), and the
 trivial and full spaces are spliced in by local subsequence reversals.
+The codes are GraySequence objects with k None, so grassmann_gray's
+verify_gray checks them and its GRAY/PROJ reader and writer store them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from math import gcd
 
-from .field import FieldContext, digits_of, primitive_element, undigits
+from .field import FieldContext, digits_of, undigits
+from .grassmann_gray import GraySequence
 from .linalg import (CanonicalSubspace, canonicalize, enumerate_subspaces,
                      full_subspace, intersect, pack_subspace,
                      projective_adjacent, subspace_sum, subspaces_of,
-                     superspaces_of, trivial_subspace, format_subspace,
-                     parse_subspace)
+                     superspaces_of, trivial_subspace)
 from .qcombin import gaussian, q_number
-
-
-@dataclass(frozen=True)
-class SubspaceSequence:
-    """A mixed-dimension subspace listing, adjacent in P_q(n)."""
-    n: int
-    q: int
-    items: tuple
-    cyclic: bool
-
-    def __len__(self):
-        return len(self.items)
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,7 @@ def nonexistence_certificate(n: int, q: int) -> NonexistenceReport:
                               deficit >= 1, deficit >= 2)
 
 
-def fixture_code_2_2() -> SubspaceSequence:
+def fixture_code_2_2() -> GraySequence:
     """The optimal non-cyclic (2;2)-subspace code, listed explicitly."""
     from .field import make_field
     ctx = make_field(2, 1)
@@ -101,7 +91,7 @@ def fixture_code_2_2() -> SubspaceSequence:
              canonicalize([(0, 1)], 2, ctx),
              full_subspace(2, ctx),
              canonicalize([(1, 1)], 2, ctx))
-    return SubspaceSequence(2, 2, items, False)
+    return GraySequence(2, None, ctx, items, False)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +133,7 @@ def necklace_decompose(n: int, dim: int, ctx_qn: FieldContext):
     if ctx_qn.degree != n:
         raise ValueError("extension degree %d != ambient %d"
                          % (ctx_qn.degree, n))
-    alpha = primitive_element(ctx_qn).index
+    alpha = ctx_qn.primitive_index()
     seen = set()
     necklaces = []
     for sub in enumerate_subspaces(n, dim, ground):
@@ -195,7 +185,7 @@ def search_necklace_path(n: int, ctx_qn: FieldContext) -> NecklacePath:
     s = len(lower)
     assert len(upper) == s
     size = q_number(n, q)
-    alpha = primitive_element(ctx_qn).index
+    alpha = ctx_qn.primitive_index()
     lower_index = {}
     for i, nk in enumerate(lower):
         for member in nk.orbit:
@@ -245,11 +235,11 @@ def search_necklace_path(n: int, ctx_qn: FieldContext) -> NecklacePath:
     return NecklacePath(tuple(path), close(path[-1]))
 
 
-def expand_path(path: NecklacePath, ctx_qn: FieldContext) -> SubspaceSequence:
+def expand_path(path: NecklacePath, ctx_qn: FieldContext) -> GraySequence:
     """Concatenate L, alpha^ell L, ..., alpha^((N-1) ell) L."""
     ground = _ground(ctx_qn)
     n = ctx_qn.degree
-    alpha = primitive_element(ctx_qn).index
+    alpha = ctx_qn.primitive_index()
     sizes = {len(orbit_of(r, ctx_qn, alpha)) for r in path.reps}
     if len(sizes) != 1:
         raise ValueError("visited necklaces have unequal orbit sizes")
@@ -260,16 +250,16 @@ def expand_path(path: NecklacePath, ctx_qn: FieldContext) -> SubspaceSequence:
     for _ in range(size - 1):
         block = [multiply_subspace(sub, ctx_qn, step) for sub in block]
         items.extend(block)
-    return SubspaceSequence(n, ground.q, tuple(items), True)
+    return GraySequence(n, None, ground, tuple(items), True)
 
 
 # ---------------------------------------------------------------------------
 # Full-space constructions for n = 1, 3, 5.
 
 
-def build_full_n1(ctx: FieldContext) -> SubspaceSequence:
+def build_full_n1(ctx: FieldContext) -> GraySequence:
     items = (trivial_subspace(1, ctx), full_subspace(1, ctx))
-    return SubspaceSequence(1, ctx.q, items, True)
+    return GraySequence(1, None, ctx, items, True)
 
 
 def _check_tower(ctx, ctx_qn, n):
@@ -279,17 +269,17 @@ def _check_tower(ctx, ctx_qn, n):
         raise ValueError("ctx_qn must have degree %d" % n)
 
 
-def build_full_n3(ctx: FieldContext, ctx_qn: FieldContext) -> SubspaceSequence:
+def build_full_n3(ctx: FieldContext, ctx_qn: FieldContext) -> GraySequence:
     """Middle levels plus W^0 and W^3 spliced at odd position 1."""
     _check_tower(ctx, ctx_qn, 3)
     mid = expand_path(search_necklace_path(3, ctx_qn), ctx_qn).items
     assert mid[0].k == 1
     items = (trivial_subspace(3, ctx), mid[0], mid[1], full_subspace(3, ctx))
     items += tuple(mid[p] for p in range(len(mid) - 1, 1, -1))
-    return SubspaceSequence(3, ctx.q, items, True)
+    return GraySequence(3, None, ctx, items, True)
 
 
-def build_full_n5(ctx: FieldContext, ctx_qn: FieldContext) -> SubspaceSequence:
+def build_full_n5(ctx: FieldContext, ctx_qn: FieldContext) -> GraySequence:
     """The (5;q) construction: reversal splicing around the first blocks."""
     _check_tower(ctx, ctx_qn, 5)
     path = search_necklace_path(5, ctx_qn)
@@ -297,7 +287,7 @@ def build_full_n5(ctx: FieldContext, ctx_qn: FieldContext) -> SubspaceSequence:
     ys = list(path.reps[1::2])
     s = len(xs)
     ell = path.ell
-    alpha = primitive_element(ctx_qn).index
+    alpha = ctx_qn.primitive_index()
     step = ctx_qn.pow(alpha, ell)
     size = q_number(5, ctx.q)
 
@@ -327,93 +317,4 @@ def build_full_n5(ctx: FieldContext, ctx_qn: FieldContext) -> SubspaceSequence:
     for _ in range(2, size):
         block = [shift(sub) for sub in block]
         items.extend(block)
-    return SubspaceSequence(5, ctx.q, tuple(items), True)
-
-
-# ---------------------------------------------------------------------------
-# Verification and file IO.
-
-
-@dataclass
-class SubspaceReport:
-    n: int
-    q: int
-    cyclic: bool
-    size: int
-    expected_size: int
-    duplicates: int
-    adjacency_failures: int
-    wraparound_ok: bool | None
-    failures: list = dfield(default_factory=list)
-
-    @property
-    def optimal(self) -> bool:
-        return self.size == self.expected_size
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-def verify_subspace(s: SubspaceSequence,
-                    require_optimal: bool = True) -> SubspaceReport:
-    """Check distinctness, P_q(n) adjacency and (optionally) optimality."""
-    seen = set()
-    duplicates = 0
-    adjacency_failures = 0
-    items = s.items
-    for item in items:
-        key = pack_subspace(item)
-        if key in seen:
-            duplicates += 1
-        seen.add(key)
-    for a, b in zip(items, items[1:]):
-        if not projective_adjacent(a, b):
-            adjacency_failures += 1
-    wraparound_ok = None
-    if s.cyclic and len(items) > 1:
-        wraparound_ok = projective_adjacent(items[-1], items[0])
-    expected = sum(gaussian(s.n, k, s.q) for k in range(s.n + 1))
-    failures = []
-    if duplicates:
-        failures.append("%d duplicate subspaces" % duplicates)
-    if adjacency_failures:
-        failures.append("%d consecutive pairs not adjacent"
-                        % adjacency_failures)
-    if wraparound_ok is False:
-        failures.append("last and first items not adjacent")
-    if require_optimal and len(items) != expected:
-        failures.append("size %d != total subspace count %d"
-                        % (len(items), expected))
-    return SubspaceReport(s.n, s.q, s.cyclic, len(items), expected,
-                          duplicates, adjacency_failures, wraparound_ok,
-                          failures)
-
-
-def write_proj_file(f, s: SubspaceSequence):
-    f.write("PROJ %d %d %d %d\n" % (s.n, s.q, len(s.items),
-                                    1 if s.cyclic else 0))
-    for item in s.items:
-        f.write("\n")
-        f.write(format_subspace(item))
-        f.write("\n")
-
-
-def read_proj_file(f) -> SubspaceSequence:
-    from .field import field_from_order
-    text = f.read()
-    chunks = [c for c in text.split("\n\n") if c.strip()]
-    header = chunks[0].splitlines()[0].split()
-    if len(header) != 5 or header[0] != "PROJ":
-        raise ValueError("not a PROJ file")
-    n, q, count, cyc = (int(x) for x in header[1:])
-    if chunks[0].splitlines()[1:]:
-        raise ValueError("malformed PROJ header block")
-    ctx = field_from_order(q)
-    items = []
-    for chunk in chunks[1:]:
-        sub, _ = parse_subspace(chunk, ctx)
-        items.append(sub)
-    if len(items) != count:
-        raise ValueError("PROJ file: expected %d blocks, found %d"
-                         % (count, len(items)))
-    return SubspaceSequence(n, q, tuple(items), bool(cyc))
+    return GraySequence(5, None, ctx, tuple(items), True)

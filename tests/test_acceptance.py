@@ -22,8 +22,7 @@ from grayspace.projective_gray import (build_full_n1, build_full_n3,
                                        build_full_n5, expand_path,
                                        fixture_code_2_2,
                                        nonexistence_certificate,
-                                       search_necklace_path,
-                                       verify_subspace)
+                                       search_necklace_path)
 from grayspace.qcombin import count_lower_bound, gaussian
 
 
@@ -125,7 +124,7 @@ def test_criterion_5_projective_constructions():
     ok = True
 
     seq = build_full_n1(field_from_order(2))
-    ok = ok and len(seq) == 2 and verify_subspace(seq).passed
+    ok = ok and len(seq) == 2 and verify_gray(seq).passed
 
     for q in (2, 3, 4):
         ctx = field_from_order(q)
@@ -133,7 +132,7 @@ def test_criterion_5_projective_constructions():
         mid = expand_path(search_necklace_path(3, ctx_q3), ctx_q3)
         ok = ok and len(mid) == 2 * (q * q + q + 1)
         seq = build_full_n3(ctx, ctx_q3)
-        rep = verify_subspace(seq)
+        rep = verify_gray(seq)
         ok = ok and rep.passed and rep.optimal
         ok = ok and len(seq) == 2 * q * q + 2 * q + 4
 
@@ -141,7 +140,7 @@ def test_criterion_5_projective_constructions():
         ctx = field_from_order(q)
         ctx_q5 = extend_field(ctx, 5)
         seq = build_full_n5(ctx, ctx_q5)
-        rep = verify_subspace(seq)
+        rep = verify_gray(seq)
         ok = ok and rep.passed and rep.optimal
         ok = ok and len(seq) == sum(gaussian(5, k, q) for k in range(6))
         if q == 2:
@@ -161,7 +160,7 @@ def test_criterion_6_nonexistence_certificates():
             else:
                 ok = ok and r.deficit >= 2
     fixture = fixture_code_2_2()
-    rep = verify_subspace(fixture)
+    rep = verify_gray(fixture)
     ok = ok and rep.passed and rep.optimal and not fixture.cyclic
     report(6, ok)
 

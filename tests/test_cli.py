@@ -133,6 +133,25 @@ def test_proj_and_verify(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_crlf_and_trailing_blanks(capsys, tmp_path):
+    for argv in (["gen", "--n", "4", "--k", "2", "--q", "3"],
+                 ["proj", "--n", "3", "--q", "2"]):
+        out_file = tmp_path / "code.txt"
+        code, _, _ = run(capsys, *argv, "--out", str(out_file))
+        assert code == 0
+        text = out_file.read_text()
+        expected = run(capsys, "verify", str(out_file))[1]
+        assert expected.startswith("PASS")
+        for variant in (text.replace("\n", "\r\n"),
+                        text.replace("\n", "  \n")):
+            out_file.write_bytes(variant.encode())
+            code, out, _ = run(capsys, "verify", str(out_file))
+            assert code == 0 and out == expected
+    out_file.write_bytes(b"")
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert code == 4 and out == "" and "empty" in err
+
+
 def test_proj_unsupported(capsys):
     code, _, err = run(capsys, "proj", "--n", "7", "--q", "2")
     assert code == 2 and "unsupported" in err

@@ -73,6 +73,27 @@ def test_decode_rejects_wrong_dimensions():
         decode(params, L.simple_subspace(3, 2, F2))
 
 
+def test_decode_rejects_rank_deficient_rows():
+    # hand-built matrices that are not a rank-k echelon basis: a zero row,
+    # a repeated row, leading columns out of order
+    params = CodecParams(4, 2, F2)
+    for rows in [((1, 0, 0, 1), (0, 0, 0, 0)),
+                 ((1, 0, 0, 0), (1, 0, 0, 0)),
+                 ((0, 1, 0, 0), (1, 0, 0, 0))]:
+        W = L.CanonicalSubspace(F2, 4, rows, (0, 1))
+        for fn in (decode, decode_fast, decode_via_dual):
+            with pytest.raises(ValueError):
+                fn(params, W)
+
+
+def test_encode_rejects_non_int_index():
+    for bad in (3.0, True, False, "3"):
+        with pytest.raises(TypeError):
+            encode(CodecParams(4, 2, F2), bad)
+        with pytest.raises(TypeError):
+            encode_via_dual(CodecParams(4, 3, F2), bad)
+
+
 def test_monotone_structure():
     # indices below the (n-1,k) count stay inside the hyperplane
     for (n, k, q) in [(4, 2, 2), (5, 2, 3)]:

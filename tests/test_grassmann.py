@@ -9,8 +9,10 @@ from grayspace import linalg as L
 from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
                                       ExtensionFamily, GraySequence,
                                       RandomChoiceSource,
-                                      ScriptedChoiceSource, build_general,
-                                      build_simple, class_representative,
+                                      ScriptedChoiceSource,
+                                      _allowed_class_indices, build_general,
+                                      build_simple, class_index,
+                                      class_representative,
                                       closing_class_from_direction,
                                       closing_class_index,
                                       compatible_next_vectors, dual_code,
@@ -231,6 +233,21 @@ def test_dual_code():
     assert verify_gray(d3).passed
 
 
+def test_gray_file_crlf_and_trailing_blanks():
+    seq = build_simple(3, 2, F3)
+    buf = io.StringIO()
+    write_gray_file(buf, seq)
+    text = buf.getvalue()
+    for variant in (text.replace("\n", "\r\n"), text.replace("\n", "  \n"),
+                    text.replace("\n", " \t\r\n")):
+        back = read_gray_file(io.StringIO(variant))
+        assert back.items == seq.items
+        assert (back.n, back.k, back.cyclic) == (3, 2, True)
+    for empty in ("", "\n\n", " \r\n"):
+        with pytest.raises(ValueError):
+            read_gray_file(io.StringIO(empty))
+
+
 def test_gray_file_roundtrip():
     seq = build_simple(3, 2, F3)
     buf = io.StringIO()
@@ -276,3 +293,34 @@ def test_closing_class_from_direction_matches_reference():
                 assert closing_class_from_direction(base, x) == want
             with pytest.raises(ValueError):
                 closing_class_from_direction(base, base.rows[-1])
+
+
+def class_vectors(base, v):
+    """Every member of [v]_base: alpha*v + w for alpha != 0, w in the base.
+
+    Brute force over the q^k vectors of the base; the oracle for the
+    closed form in _allowed_class_indices.
+    """
+    ctx = base.ctx
+    span = [w + (0,) for w in L.span_vectors(base)]
+    return [tuple(ctx.add(ctx.mul(alpha, x), y) for x, y in zip(v, w))
+            for alpha in range(1, ctx.q) for w in span]
+
+
+def test_allowed_class_indices_match_brute_force():
+    # both orders of every consecutive (and the wraparound) base pair of
+    # the simple code, every class of the earlier base
+    cases = 0
+    for (n, k, q) in [(4, 2, 2), (5, 3, 2), (5, 2, 2), (4, 2, 3), (4, 3, 3),
+                      (3, 2, 4), (4, 2, 4)]:
+        ctx = field_from_order(q)
+        bases = list(iter_simple(n - 1, k - 1, ctx))
+        for a, b in zip(bases, bases[1:] + bases[:1]):
+            for prev, cur in ((a, b), (b, a)):
+                for rep in explicit_representatives(prev, ctx).reps:
+                    brute = {class_index(cur, class_representative(cur, vec))
+                             for vec in class_vectors(prev, rep)}
+                    assert len(brute) == q
+                    assert _allowed_class_indices(prev, rep, cur) == brute
+                    cases += 1
+    assert cases > 1000

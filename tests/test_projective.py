@@ -3,15 +3,17 @@ from math import gcd
 
 import pytest
 
-from grayspace.field import extend_field, field_from_order, primitive_element
+from grayspace.field import extend_field, field_from_order
 from grayspace import linalg as L
-from grayspace.projective_gray import (SubspaceSequence, build_full_n1,
-                                       build_full_n3, build_full_n5,
-                                       expand_path, fixture_code_2_2,
-                                       multiply_subspace, necklace_decompose,
+from grayspace.grassmann_gray import (GraySequence, dual_code,
+                                      read_gray_file, verify_gray,
+                                      write_gray_file)
+from grayspace.projective_gray import (build_full_n1, build_full_n3,
+                                       build_full_n5, expand_path,
+                                       fixture_code_2_2, multiply_subspace,
+                                       necklace_decompose,
                                        nonexistence_certificate,
-                                       read_proj_file, search_necklace_path,
-                                       verify_subspace, write_proj_file)
+                                       search_necklace_path)
 from grayspace.qcombin import gaussian, q_number
 
 
@@ -51,7 +53,7 @@ def test_fixture_code_2_2():
     assert len(seq) == 5 and not seq.cyclic
     dims = [s.k for s in seq.items]
     assert dims == [1, 0, 1, 2, 1]
-    report = verify_subspace(seq)
+    report = verify_gray(seq)
     assert report.passed and report.optimal
     assert not L.projective_adjacent(seq.items[-1], seq.items[0])
 
@@ -77,7 +79,7 @@ def test_necklace_decompose_counts():
 
 def test_multiply_subspace_is_action():
     ctx, ctx_qn = tower(2, 5)
-    alpha = primitive_element(ctx_qn).index
+    alpha = ctx_qn.primitive_index()
     sub = L.simple_subspace(5, 2, ctx)
     cur = sub
     for _ in range(q_number(5, 2)):
@@ -112,20 +114,20 @@ def test_expand_path_middle_levels():
         ctx, ctx_qn = tower(q, 3)
         mid = expand_path(search_necklace_path(3, ctx_qn), ctx_qn)
         assert len(mid) == 2 * (q * q + q + 1)
-        report = verify_subspace(mid, require_optimal=False)
+        report = verify_gray(mid, require_optimal=False)
         assert report.passed and report.duplicates == 0
 
     ctx, ctx_qn = tower(2, 5)
     mid = expand_path(search_necklace_path(5, ctx_qn), ctx_qn)
     assert len(mid) == 310
-    assert verify_subspace(mid, require_optimal=False).passed
+    assert verify_gray(mid, require_optimal=False).passed
 
 
 def test_build_full_n1():
     seq = build_full_n1(field_from_order(2))
     assert len(seq) == 2
     assert seq.items[0].k == 0 and seq.items[1].k == 1
-    assert verify_subspace(seq).passed
+    assert verify_gray(seq).passed
 
 
 def test_build_full_n3():
@@ -134,7 +136,7 @@ def test_build_full_n3():
         seq = build_full_n3(ctx, ctx_qn)
         assert len(seq) == length == 2 * q * q + 2 * q + 4
         assert seq.items[0].k == 0 and seq.items[1].k == 1
-        report = verify_subspace(seq)
+        report = verify_gray(seq)
         assert report.passed and report.optimal
 
 
@@ -144,7 +146,7 @@ def test_build_full_n5():
         seq = build_full_n5(ctx, ctx_qn)
         assert len(seq) == length
         assert length == sum(gaussian(5, k, q) for k in range(6))
-        report = verify_subspace(seq)
+        report = verify_gray(seq)
         assert report.passed and report.optimal
 
 
@@ -159,15 +161,17 @@ def test_build_full_n3_coverage():
 
 def test_verify_subspace_flags():
     seq = fixture_code_2_2()
-    bad = SubspaceSequence(2, 2, seq.items[:3] + (seq.items[0],), False)
-    report = verify_subspace(bad, require_optimal=False)
+    bad = GraySequence(2, None, seq.ctx, seq.items[:3] + (seq.items[0],),
+                       False)
+    report = verify_gray(bad, require_optimal=False)
     assert report.duplicates == 1 and not report.passed
 
     ctx = field_from_order(2)
-    same_dim = SubspaceSequence(3, 2, (L.simple_subspace(3, 2, ctx),
-                                       L.canonicalize([(1, 0, 0), (0, 0, 1)],
-                                                      3, ctx)), False)
-    report = verify_subspace(same_dim, require_optimal=False)
+    same_dim = GraySequence(3, None, ctx, (L.simple_subspace(3, 2, ctx),
+                                           L.canonicalize([(1, 0, 0),
+                                                           (0, 0, 1)],
+                                                          3, ctx)), False)
+    report = verify_gray(same_dim, require_optimal=False)
     assert report.adjacency_failures == 1
 
 
@@ -175,8 +179,32 @@ def test_proj_file_roundtrip():
     ctx, ctx_qn = tower(2, 3)
     seq = build_full_n3(ctx, ctx_qn)
     buf = io.StringIO()
-    write_proj_file(buf, seq)
-    back = read_proj_file(io.StringIO(buf.getvalue()))
+    write_gray_file(buf, seq)
+    back = read_gray_file(io.StringIO(buf.getvalue()))
     assert back.items == seq.items and back.cyclic
+    assert back.n == 3 and back.k is None and back.ctx is ctx
     with pytest.raises(ValueError):
-        read_proj_file(io.StringIO("NOPE\n"))
+        read_gray_file(io.StringIO("NOPE\n"))
+
+
+def test_proj_file_crlf_and_trailing_blanks():
+    ctx, ctx_qn = tower(3, 3)
+    seq = build_full_n3(ctx, ctx_qn)
+    buf = io.StringIO()
+    write_gray_file(buf, seq)
+    text = buf.getvalue()
+    assert text.startswith("PROJ 3 3 28 1\n\n")
+    for variant in (text.replace("\n", "\r\n"), text.replace("\n", "  \n"),
+                    text.replace("\n", " \t\r\n")):
+        back = read_gray_file(io.StringIO(variant))
+        assert back.items == seq.items and back.k is None and back.cyclic
+        assert verify_gray(back).passed
+
+
+def test_projective_dual_code():
+    # complements reverse containment: the dual is again a P_q(n) code
+    ctx, ctx_qn = tower(2, 3)
+    d = dual_code(build_full_n3(ctx, ctx_qn))
+    assert d.k is None
+    report = verify_gray(d)
+    assert report.passed and report.optimal and report.k is None
