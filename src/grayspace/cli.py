@@ -40,6 +40,13 @@ def _field(spec: str):
         raise CliError(str(exc), EXIT_PARAMS)
 
 
+def _extension(ctx, degree):
+    try:
+        return extend_field(ctx, degree)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARAMS)
+
+
 def _check_nk(n, k):
     if n < 0 or not 0 <= k <= n:
         raise CliError("need 0 <= k <= n", EXIT_PARAMS)
@@ -150,9 +157,9 @@ def cmd_proj(args) -> int:
     if n == 1:
         seq = projective_gray.build_full_n1(ctx)
     elif n == 3:
-        seq = projective_gray.build_full_n3(ctx, extend_field(ctx, 3))
+        seq = projective_gray.build_full_n3(ctx, _extension(ctx, 3))
     elif n == 5:
-        seq = projective_gray.build_full_n5(ctx, extend_field(ctx, 5))
+        seq = projective_gray.build_full_n5(ctx, _extension(ctx, 5))
     else:
         raise CliError("unsupported n=%d: full subspace Gray codes are only "
                        "known for n in {1, 3, 5}; other odd n are open and "
@@ -202,7 +209,13 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     ctx = _field(args.q)
-    sizes = [int(x) for x in args.n_list.split(",")]
+    try:
+        sizes = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise CliError("--n-list must be comma-separated integers, got %r"
+                       % args.n_list, EXIT_PARAMS)
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1", EXIT_PARAMS)
     rng = random.Random(args.bench_seed)
     rows = []
     for n in sizes:

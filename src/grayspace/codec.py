@@ -1,22 +1,21 @@
 """Enumerative coding for the simple Grassmannian Gray code.
 
 encode maps an index m to the m-th subspace of the simple cyclic optimal
-(n,k;q)-code without materializing the sequence; decode inverts it.  Both
-walk the same three-case recursion the construction follows: a subspace
-either is the base case, lies inside the hyperplane W^(n-1) (strip the
-zero column), or is an extension of a (k-1)-dim base (peel off the
-extending row and recurse on the base).
+(n,k;q)-code without materializing the sequence; decode_fast inverts it.
+Both walk the recursion the construction follows: an item is either the
+simple subspace or, past its trailing zero columns, an extension of a
+(k-1)-dim base of W^(top-1) (block i, the base's index, at position jpos).
 
-Placing the extension inside its block needs the block's closing class,
-which depends on the base's successor in the (n-1,k-1)-code.  decode, the
-plain reference, re-encodes that successor at every extension level and
-tests its rows for membership one at a time (closing_class_index).
-decode_fast returns identical indices with less work: its recursion hands
-each level one vector spanning the successor modulo the base, read off
-the base's own decoded block position, so the closing class costs a
-single vector reduction and no successor is ever encoded; it also strips
-all trailing zero columns in one step.  decode is the oracle decode_fast
-is tested against; decode_via_dual and the command line use decode_fast.
+Placing the extension in its block needs the block's closing class, which
+depends on the base's successor.  Every level of both recursions returns,
+with its item or index, one vector spanning the item's successor modulo
+the item, read off its block position (_next_direction); the closing
+class then costs one vector reduction and no successor is ever encoded.
+
+decode is the plain reference decode_fast is tested against: it strips
+one zero column at a time and takes each closing class from
+closing_class_index on an explicitly encoded successor.  decode_via_dual
+and the command line use decode_fast.
 """
 
 from __future__ import annotations
@@ -52,51 +51,43 @@ class CodecParams:
         return gaussian(self.n, self.k, self.q)
 
 
-def _block_class(ctx, n, k, q, i, g2, jpos, base, memo):
-    """Class index visited at position jpos of block i (and vice versa)."""
-    width = q ** (n - k)
-    if g2 == 1:
-        return jpos
-    succ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2, g2, memo)
-    last = closing_class_index(base, succ)
-    return class_at_position(last, width, jpos)
-
-
-def _encode(n, k, q, ctx, m, g, memo):
-    """The m-th item, as a subspace of ambient dimension n; g = [n k]_q.
-
-    memo caches finished items by (n, k, m) within one top-level call:
-    each extension level needs both a base and its successor, and without
-    sharing those two chains the recursion doubles per level.
+def _encode(n, k, q, ctx, m, want_next):
+    """(item, x): the m-th item of the (n,k) code and, when want_next is
+    set, a vector x of length n that spans the successor (item m+1,
+    cyclically) modulo the item itself; the mirror of _decode_fast.
     """
-    key = (n, k, m)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    zeros = 0
-    while True:
-        if k == 0 or k == n:
-            inner = simple_subspace(n, k, ctx)
-            break
-        g2, g1 = gaussian_step_down(g, n, k, q)
-        if m <= g1 - 1:
-            n -= 1
-            g = g1
-            zeros += 1
-            continue
-        width = q ** (n - k)
-        t = m - g1 + 1
-        i = (t // width) % g2
-        jpos = t % width
-        base = _encode(n - 1, k - 1, q, ctx, i, g2, memo)
-        c = _block_class(ctx, n, k, q, i, g2, jpos, base, memo)
-        v = _rep_vector(base, _nonpivot_columns(base), c)
-        inner = extend_subspace(_append_zero_col(base), v)
-        break
-    if zeros:
-        inner = _append_zero_col(inner, zeros)
-    memo[key] = inner
-    return inner
+    if k == 0 or k == n:
+        return simple_subspace(n, k, ctx), None
+    # no coefficient is carried per level, so all trailing zero columns
+    # are stripped in one jump: items below g1 = [top-1 k]_q lie inside
+    # W^(top-1), and none does once top == k
+    top, g1 = n, gaussian_product_tree(n - 1, k, q)
+    while m < g1:
+        top -= 1
+        g1 = gaussian_product_tree(top - 1, k, q)
+    if top == k:
+        x = _next_direction(ctx, n, k, top) if want_next else None
+        return simple_subspace(n, k, ctx), x
+    width = q ** (top - k)
+    g2 = gaussian_product_tree(top - 1, k - 1, q)
+    t = m - g1 + 1
+    i = (t // width) % g2
+    jpos = t % width
+    # without need_last, width-1 is exact for a lone block (plain order)
+    # and unused at position 0, which always holds class 0
+    need_last = g2 > 1 and (jpos != 0 or want_next)
+    base, x = _encode(top - 1, k - 1, q, ctx, i, need_last)
+    last = closing_class_from_direction(base, x) if need_last else width - 1
+    c = class_at_position(last, width, jpos)
+    nonpiv = _nonpivot_columns(base)
+    item = extend_subspace(_append_zero_col(base),
+                           _rep_vector(base, nonpiv, c))
+    if top < n:
+        item = _append_zero_col(item, n - top)
+    if not want_next:
+        return item, None
+    return item, _next_direction(ctx, n, k, top, i, jpos, width, c, last,
+                                 nonpiv)
 
 
 def encode(params: CodecParams, m: int) -> CanonicalSubspace:
@@ -106,22 +97,7 @@ def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     total = params.size
     if not 0 <= m < total:
         raise ValueError("index %d out of range [0, %d)" % (m, total))
-    return _encode(params.n, params.k, params.q, params.ctx, m, total, {})
-
-
-def _split_extension(rows, n):
-    """Separate the unique row leaving the hyperplane from the rest."""
-    special = None
-    inner = []
-    for r in rows:
-        if r[n - 1]:
-            if special is not None:
-                raise ValueError("not a canonical extension matrix")
-            special = r
-        else:
-            inner.append(r[:n - 1])
-    assert special[n - 1] == 1
-    return special, inner
+    return _encode(params.n, params.k, params.q, params.ctx, m, False)[0]
 
 
 def _last_nonzero(r):
@@ -134,14 +110,28 @@ def _last_nonzero(r):
 
 
 def _extension_parts(ctx, n, rows):
-    """The extending row and the canonical base left when it is removed."""
-    v, inner_rows = _split_extension(rows, n)
-    base = CanonicalSubspace(ctx, n - 1, tuple(inner_rows),
-                             tuple(_leading_column(r) for r in inner_rows))
-    return v, base
+    """The extending row and the base left when it is removed.
+
+    The extending row is the one row nonzero in column n-1.  It must end
+    in 1 there and vanish on the base's pivot columns, as the canonical
+    matrix does; otherwise ValueError.
+    """
+    v = None
+    inner_rows = []
+    for r in rows:
+        if r[n - 1]:
+            if v is not None:
+                raise ValueError("not a canonical extension matrix")
+            v = r
+        else:
+            inner_rows.append(r[:n - 1])
+    pivots = tuple(_leading_column(r) for r in inner_rows)
+    if v[n - 1] != 1 or any(map(v.__getitem__, pivots)):
+        raise ValueError("not a canonical extension matrix")
+    return v, CanonicalSubspace(ctx, n - 1, tuple(inner_rows), pivots)
 
 
-def _decode(n, k, q, ctx, rows, g, memo):
+def _decode(n, k, q, ctx, rows, g):
     while True:
         if k == 0 or k == n:
             return 0
@@ -153,13 +143,13 @@ def _decode(n, k, q, ctx, rows, g, memo):
             continue
         break
     v, base = _extension_parts(ctx, n, rows)
-    i = _decode(n - 1, k - 1, q, ctx, list(base.rows), g2, memo)
+    i = _decode(n - 1, k - 1, q, ctx, list(base.rows), g2)
     width = q ** (n - k)
     c = _class_digits(v, _nonpivot_columns(base), q)
     if g2 == 1:
         jpos = c
     else:
-        succ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2, g2, memo)
+        succ, _ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2, False)
         last = closing_class_index(base, succ)
         jpos = width - 1 if c == last else class_position(last, c)
     return g1 + ((width * i + jpos - 1) % (width * g2))
@@ -187,24 +177,42 @@ def _class_step(sub, q, nonpiv, n, a, b):
     return x
 
 
+def _next_direction(ctx, n, k, top, i=0, jpos=0, width=0, c=0, last=0,
+                    nonpiv=()):
+    """A vector of length n spanning an item's successor modulo the item.
+
+    The item extends a base of W^(top-1) by class c at position jpos of
+    block i, and the block closes with class last; top == k marks the
+    simple subspace.  The successor, and so the vector, is:
+    - for the simple subspace, item 1, the first item leaving W^k: e_k;
+    - for the last item of the code, the simple subspace: e_{k-1};
+    - for the last item of a stripped level-top code, the first item
+      leaving W^top: block 0 at position 1, whose class is 1 for k = 1
+      and 2 otherwise (by the first rule a simple base closes its block
+      with class 1);
+    - at a block change, class 0 of the next block: e_{top-1};
+    - inside a block, the next class: the difference of the two
+      representatives.
+    """
+    if top == k:
+        return _unit(n, k)
+    if i == 0 and jpos == 0:
+        if top == n:
+            return _unit(n, k - 1)
+        x = _class_step(ctx.sub, ctx.q, range(k - 1, top), n, 0,
+                        1 if k == 1 else 2)
+        x[top] = 1
+        return x
+    if jpos == width - 1:
+        return _unit(n, top - 1)
+    return _class_step(ctx.sub, ctx.q, nonpiv, n, c,
+                       class_at_position(last, width, jpos + 1))
+
+
 def _decode_fast(n, k, q, ctx, rows, want_next):
     """(index, x): the index of span(rows) in the (n,k) code and, when
     want_next is set, a vector x of length n that spans the successor
-    (item index+1, cyclically) modulo the item itself.
-
-    x is read off the item's own block position, so no successor is ever
-    encoded.  One step inside a block the successor swaps the extending
-    class for the next one (x is the difference of the two
-    representatives), and a block change brings in class 0, the unit
-    vector e_{top-1}.  The remaining cases are fixed subspaces:
-    - the simple subspace is followed by item 1, the first item leaving
-      W^k, so x = e_k;
-    - the last item of the code is followed by the simple subspace, so
-      x = e_{k-1};
-    - the last item of a stripped level-top code is followed by the first
-      item leaving W^top: block 0 at position 1, whose class is 1 for
-      k = 1 and 2 otherwise (by the first case a simple base closes its
-      block with class 1).
+    (item index+1, cyclically) modulo the item; the mirror of _encode.
     """
     if k == 0 or k == n:
         return 0, None
@@ -212,35 +220,24 @@ def _decode_fast(n, k, q, ctx, rows, want_next):
     # are stripped in one jump
     top = max(_last_nonzero(r) for r in rows) + 1
     if top == k:
-        return 0, (_unit(n, k) if want_next else None)
+        x = _next_direction(ctx, n, k, top) if want_next else None
+        return 0, x
     v, base = _extension_parts(ctx, top, rows)
     nonpiv = _nonpivot_columns(base)
     c = _class_digits(v, nonpiv, q)
     width = q ** (top - k)
     g1 = gaussian_product_tree(top - 1, k, q)
     g2 = gaussian_product_tree(top - 1, k - 1, q)
+    # width-1 as in _encode: exact for a lone block, unused for class 0
     need_last = g2 > 1 and (c != 0 or want_next)
     i, x = _decode_fast(top - 1, k - 1, q, ctx, base.rows, need_last)
-    if need_last:
-        last = closing_class_from_direction(base, x)
-    if g2 == 1 or c == 0:
-        jpos = c
-    else:
-        jpos = width - 1 if c == last else class_position(last, c)
+    last = closing_class_from_direction(base, x) if need_last else width - 1
+    jpos = width - 1 if c == last else class_position(last, c)
     index = g1 + ((width * i + jpos - 1) % (width * g2))
     if not want_next:
         return index, None
-    if i == 0 and jpos == 0:
-        if top == n:
-            return index, _unit(n, k - 1)
-        x = _class_step(ctx.sub, q, range(k - 1, top), n, 0,
-                        1 if k == 1 else 2)
-        x[top] = 1
-        return index, x
-    if jpos == width - 1:
-        return index, _unit(n, top - 1)
-    c2 = jpos + 1 if g2 == 1 else class_at_position(last, width, jpos + 1)
-    return index, _class_step(ctx.sub, q, nonpiv, n, c, c2)
+    return index, _next_direction(ctx, n, k, top, i, jpos, width, c, last,
+                                  nonpiv)
 
 
 def _leading_column(r):
@@ -270,16 +267,17 @@ def _check_input(params, W):
 def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     """Index of W in the simple (n,k;q) Gray code.
 
-    W's rows must be nonzero with strictly increasing leading columns
-    (ValueError otherwise).  The full canonical form is not checked, as
-    that costs one canonicalize per call: a hand-built CanonicalSubspace
-    whose rows are not the canonical matrix decodes to an unspecified
-    index.  Subspaces from encode, canonicalize or parse_subspace are
-    canonical.
+    W's rows must be nonzero with strictly increasing leading columns,
+    and at every extension level the one row leaving the hyperplane must
+    end in 1 there and vanish on the pivot columns of the rows below it,
+    as in the canonical matrix; anything else raises ValueError.  An
+    echelon basis that passes these checks but is not the canonical
+    matrix decodes to the index of the subspace it spans.  Subspaces from
+    encode, canonicalize or parse_subspace are canonical.
     """
     _check_input(params, W)
     return _decode(params.n, params.k, params.q, params.ctx,
-                   list(W.rows), params.size, {})
+                   list(W.rows), params.size)
 
 
 def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
@@ -287,7 +285,7 @@ def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
 
     The closing class of every block comes from one successor direction
     carried up the recursion (see _decode_fast); decode is the reference.
-    Input is checked as in decode, canonical form excepted.
+    Input is checked as in decode.
     """
     _check_input(params, W)
     return _decode_fast(params.n, params.k, params.q, params.ctx, W.rows,

@@ -17,19 +17,10 @@ over GF(q).
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
-_DEFAULT_MAX_Q = 65536
+MAX_FIELD_SIZE = 65536  # size cap for constructed fields
 _TABLE_LIMIT = 64  # full op tables are precomputed up to this field size
-
-
-def max_field_size() -> int:
-    """Size cap for constructed fields, overridable via GRAY_MAX_Q."""
-    try:
-        return int(os.environ.get("GRAY_MAX_Q", _DEFAULT_MAX_Q))
-    except ValueError:
-        return _DEFAULT_MAX_Q
 
 
 def is_prime(n: int) -> bool:
@@ -337,9 +328,9 @@ def make_field(p: int, m: int) -> FieldContext:
         raise ValueError("field characteristic %r is not prime" % (p,))
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** m > max_field_size():
+    if p ** m > MAX_FIELD_SIZE:
         raise ValueError("field size %d exceeds bound %d"
-                         % (p ** m, max_field_size()))
+                         % (p ** m, MAX_FIELD_SIZE))
     if m == 1:
         return FieldContext(p=p)
     base = make_field(p, 1)
@@ -356,9 +347,9 @@ def extend_field(ctx: FieldContext, degree: int) -> FieldContext:
     """
     if degree < 1:
         raise ValueError("extension degree must be >= 1")
-    if ctx.q ** degree > max_field_size():
+    if ctx.q ** degree > MAX_FIELD_SIZE:
         raise ValueError("field size %d exceeds bound %d"
-                         % (ctx.q ** degree, max_field_size()))
+                         % (ctx.q ** degree, MAX_FIELD_SIZE))
     return FieldContext(base=ctx, degree=degree,
                         modulus=_first_irreducible(ctx, degree))
 

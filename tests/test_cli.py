@@ -155,6 +155,10 @@ def test_verify_crlf_and_trailing_blanks(capsys, tmp_path):
 def test_proj_unsupported(capsys):
     code, _, err = run(capsys, "proj", "--n", "7", "--q", "2")
     assert code == 2 and "unsupported" in err
+    # GF(64^3) and GF(16^5) exceed the field size bound
+    for q, n in [("64", "3"), ("16", "5")]:
+        code, out, err = run(capsys, "proj", "--n", n, "--q", q)
+        assert code == 2 and out == "" and "exceeds bound 65536" in err
 
 
 def test_nonexist(capsys):
@@ -187,3 +191,6 @@ def test_bench_runs(capsys):
     data = json.loads(out)
     assert [row["n"] for row in data] == [8, 12]
     assert all(row["decode"] > 0 for row in data)
+    for extra in (["--n-list", "a"], ["--n-list", "8", "--samples", "0"]):
+        code, out, err = run(capsys, "bench", "--k", "2", "--q", "2", *extra)
+        assert code == 2 and out == "" and err.startswith("error: ")

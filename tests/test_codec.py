@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from grayspace.codec import (CodecParams, _decode_fast, decode, decode_fast,
-                             decode_via_dual, encode, encode_via_dual)
+from grayspace.codec import (CodecParams, _decode_fast, _encode, decode,
+                             decode_fast, decode_via_dual, encode,
+                             encode_via_dual)
 from grayspace.field import field_from_order, make_field
 from grayspace import linalg as L
 from grayspace.grassmann_gray import (GraySequence,
@@ -75,15 +77,64 @@ def test_decode_rejects_wrong_dimensions():
 
 def test_decode_rejects_rank_deficient_rows():
     # hand-built matrices that are not a rank-k echelon basis: a zero row,
-    # a repeated row, leading columns out of order
-    params = CodecParams(4, 2, F2)
-    for rows in [((1, 0, 0, 1), (0, 0, 0, 0)),
-                 ((1, 0, 0, 0), (1, 0, 0, 0)),
-                 ((0, 1, 0, 0), (1, 0, 0, 0))]:
-        W = L.CanonicalSubspace(F2, 4, rows, (0, 1))
+    # a repeated row, leading columns out of order; and echelon bases whose
+    # extending row is nonzero on a base pivot column or does not end in 1
+    F3 = field_from_order(3)
+    cases = [(CodecParams(4, 2, F2), ((1, 0, 0, 1), (0, 0, 0, 0))),
+             (CodecParams(4, 2, F2), ((1, 0, 0, 0), (1, 0, 0, 0))),
+             (CodecParams(4, 2, F2), ((0, 1, 0, 0), (1, 0, 0, 0))),
+             (CodecParams(5, 2, F3), ((1, 2, 2, 0, 1), (0, 1, 1, 0, 0))),
+             (CodecParams(3, 1, F3), ((1, 0, 2),))]
+    for params, rows in cases:
+        W = L.CanonicalSubspace(params.ctx, params.n, rows,
+                                tuple(range(len(rows))))
         for fn in (decode, decode_fast, decode_via_dual):
             with pytest.raises(ValueError):
                 fn(params, W)
+
+
+def _echelon_variants(sub):
+    """Every basis T*rows of sub with T upper triangular and invertible.
+
+    These row operations keep each row's leading column, so every variant
+    is a row echelon basis of sub with the same pivots.
+    """
+    ctx, k = sub.ctx, sub.k
+    scales = [x for x in range(ctx.q) if x]
+    above = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for diag in itertools.product(scales, repeat=k):
+        for coeffs in itertools.product(range(ctx.q), repeat=len(above)):
+            rows = [[ctx.mul(d, x) for x in r]
+                    for d, r in zip(diag, sub.rows)]
+            for (i, j), f in zip(above, coeffs):
+                if f:
+                    rows[i] = [ctx.add(x, ctx.mul(f, y))
+                               for x, y in zip(rows[i], sub.rows[j])]
+            yield L.CanonicalSubspace(ctx, sub.n, tuple(map(tuple, rows)),
+                                      sub.pivots)
+
+
+def test_decode_of_echelon_variants_is_canonical_or_rejected():
+    # every echelon basis of every subspace either raises ValueError or
+    # decodes to the index of its canonical matrix, with every decoder
+    accepted = 0
+    for (n, k, q) in [(5, 2, 3), (4, 2, 4), (5, 3, 2), (3, 2, 4), (4, 1, 4)]:
+        ctx = field_from_order(q)
+        params = CodecParams(n, k, ctx)
+        for m, sub in enumerate(iter_simple(n, k, ctx)):
+            want = {decode: m, decode_fast: m,
+                    decode_via_dual: decode_via_dual(params, sub)}
+            for W in _echelon_variants(sub):
+                for fn, index in want.items():
+                    try:
+                        got = fn(params, W)
+                    except ValueError:
+                        continue
+                    assert got == index, (fn.__name__, n, k, q, W.rows)
+                    accepted += W != sub
+    # some non-canonical bases decode (those that differ from the
+    # canonical matrix only where no digit is read)
+    assert accepted > 0
 
 
 def test_encode_rejects_non_int_index():
@@ -138,20 +189,23 @@ def test_decode_fast_matches_decode_at_large_parameters():
                                                  for _ in range(4)]:
             sub = encode(params, m)
             assert decode_fast(params, sub) == decode(params, sub) == m
+            assert L.grassmann_adjacent(sub, encode(params, (m + 1) % total))
 
 
 def test_decode_fast_successor_direction():
-    # the direction decode_fast reads off an item's block position spans the
-    # next item modulo the item, wraparound pair included
+    # the direction decode_fast and encode read off an item's block position
+    # spans the next item modulo the item, wraparound pair included
     for (n, k, q) in [(4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 2, 2), (4, 2, 3),
                       (4, 1, 3), (3, 2, 4), (4, 2, 4)]:
         ctx = field_from_order(q)
         items = list(iter_simple(n, k, ctx))
         for m, (cur, nxt) in enumerate(zip(items, items[1:] + items[:1])):
             index, x = _decode_fast(n, k, q, ctx, list(cur.rows), True)
-            assert index == m
-            assert (closing_class_from_direction(cur, x)
-                    == closing_class_index(cur, nxt)), (n, k, q, m)
+            item, y = _encode(n, k, q, ctx, m, True)
+            assert index == m and item == cur
+            for direction in (x, y):
+                assert (closing_class_from_direction(cur, direction)
+                        == closing_class_index(cur, nxt)), (n, k, q, m)
 
 
 def test_via_dual():
