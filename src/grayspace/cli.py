@@ -55,7 +55,10 @@ def _check_nk(n, k):
 def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w"), True
+    try:
+        return open(path, "w"), True
+    except OSError as exc:
+        raise CliError(str(exc), EXIT_FAIL)
 
 
 def _read_in(path):

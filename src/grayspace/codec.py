@@ -21,14 +21,14 @@ and the command line use decode_fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
 
 from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
                              closing_class_from_direction,
                              closing_class_index, _append_zero_col,
                              _class_digits, _nonpivot_columns, _rep_vector)
-from .linalg import CanonicalSubspace, extend_subspace, simple_subspace
+from .linalg import (CanonicalSubspace, extend_subspace, last_nonzero,
+                     leading_column, simple_subspace)
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
 
 
@@ -100,15 +100,6 @@ def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     return _encode(params.n, params.k, params.q, params.ctx, m, False)[0]
 
 
-def _last_nonzero(r):
-    if r[-1]:
-        return len(r) - 1
-    try:
-        return len(bytes(r).rstrip(b"\x00")) - 1
-    except ValueError:
-        return max(c for c, x in enumerate(r) if x)
-
-
 def _extension_parts(ctx, n, rows):
     """The extending row and the base left when it is removed.
 
@@ -125,7 +116,7 @@ def _extension_parts(ctx, n, rows):
             v = r
         else:
             inner_rows.append(r[:n - 1])
-    pivots = tuple(_leading_column(r) for r in inner_rows)
+    pivots = tuple(map(leading_column, inner_rows))
     if v[n - 1] != 1 or any(map(v.__getitem__, pivots)):
         raise ValueError("not a canonical extension matrix")
     return v, CanonicalSubspace(ctx, n - 1, tuple(inner_rows), pivots)
@@ -218,7 +209,7 @@ def _decode_fast(n, k, q, ctx, rows, want_next):
         return 0, None
     # no coefficient is carried per level, so all trailing zero columns
     # are stripped in one jump
-    top = max(_last_nonzero(r) for r in rows) + 1
+    top = max(map(last_nonzero, rows)) + 1
     if top == k:
         x = _next_direction(ctx, n, k, top) if want_next else None
         return 0, x
@@ -240,11 +231,6 @@ def _decode_fast(n, k, q, ctx, rows, want_next):
                                   nonpiv)
 
 
-def _leading_column(r):
-    """Column of r's first nonzero entry; len(r) for a zero row."""
-    return next(compress(count(), r), len(r))
-
-
 def _check_input(params, W):
     """Reject a subspace of the wrong shape or field, or of rank below k.
 
@@ -257,7 +243,7 @@ def _check_input(params, W):
         raise ValueError("field mismatch")
     last = -1
     for r in W.rows:
-        lead = _leading_column(r)
+        lead = leading_column(r)
         if not last < lead < len(r):
             raise ValueError("rows are not a row echelon basis of rank %d"
                              % W.k)

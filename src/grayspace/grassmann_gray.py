@@ -19,11 +19,10 @@ import re
 from dataclasses import dataclass, field as dfield
 
 from .field import FieldContext, field_from_order
-from .linalg import (CanonicalSubspace, canonicalize, contains, dual,
-                     extend_subspace, grassmann_adjacent, intersect,
-                     is_simple, pack_subspace, projective_adjacent,
-                     reduce_vector, simple_subspace, format_subspace,
-                     parse_subspace)
+from .linalg import (CanonicalSubspace, contains, dual, extend_subspace,
+                     grassmann_adjacent, intersect, is_simple, leading_column,
+                     pack_subspace, projective_adjacent, reduce_vector,
+                     simple_subspace, format_subspace, parse_subspace)
 from .qcombin import gaussian
 
 
@@ -84,7 +83,7 @@ def _append_zero_col(sub: CanonicalSubspace,
 def _nonpivot_columns(base: CanonicalSubspace):
     out = []
     start = 0
-    for p in sorted(base.pivots):
+    for p in base.pivots:
         out.extend(range(start, p))
         start = p + 1
     out.extend(range(start, base.n))
@@ -138,17 +137,10 @@ def class_representative(base: CanonicalSubspace, v):
     ctx = base.ctx
     if len(v) != base.n + 1 or v[-1] == 0:
         raise ValueError("vector must leave the hyperplane")
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    v = list(v)
-    for row, p in zip(base.rows, base.pivots):
-        c = v[p]
-        if c:
-            f = mul(c, inv(row[p]))
-            for t in range(base.n):
-                if row[t]:
-                    v[t] = sub(v[t], mul(f, row[t]))
-    f = inv(v[-1])
+    v = reduce_vector(base, v[:-1]) + [v[-1]]
+    f = ctx.inv(v[-1])
     if f != 1:
+        mul = ctx.mul
         v = [mul(f, x) for x in v]
     return tuple(v)
 
@@ -156,38 +148,6 @@ def class_representative(base: CanonicalSubspace, v):
 def class_index(base: CanonicalSubspace, rep) -> int:
     """Position j of a canonical class representative in the explicit order."""
     return _class_digits(rep, _nonpivot_columns(base), base.ctx.q)
-
-
-def compatible_next_vectors(c1: CanonicalSubspace, c2: CanonicalSubspace,
-                            v1):
-    """The q subspaces C2 + <v1 + eps*u1> meeting C1 + <v1> in dim k-1.
-
-    c1 and c2 are (k-1)-dim subspaces of W^(n-1) meeting in dim k-2; v1 is a
-    vector of W^n outside W^(n-1); u1 completes the intersection to c1.
-    """
-    ctx = c1.ctx
-    if c1.ctx is not c2.ctx or c1.n != c2.n or c1.k != c2.k:
-        raise ValueError("bases must have equal dimension and ambient space")
-    if len(v1) != c1.n + 1 or v1[-1] == 0:
-        raise ValueError("v1 must leave the hyperplane")
-    inter = intersect(c1, c2)
-    if inter.k != c1.k - 1:
-        raise ValueError("bases must intersect in dimension k-2")
-    u1 = None
-    for row in c1.rows:
-        if not contains(inter, row):
-            u1 = row + (0,)
-            break
-    assert u1 is not None
-    n = c1.n + 1
-    add, mul = ctx.add, ctx.mul
-    c2_rows = [r + (0,) for r in c2.rows]
-    out = []
-    for eps in range(ctx.q):
-        v2 = tuple(add(x, mul(eps, y)) for x, y in zip(v1, u1))
-        out.append(canonicalize(c2_rows + [v2], n, ctx))
-    assert len(set(out)) == ctx.q
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +170,11 @@ def closing_class_index(base: CanonicalSubspace,
     Both bases live in W^(n-1) and intersect in codimension 1 there.  The
     result is never 0, so the closing class differs from the opening one.
     """
-    ctx = base.ctx
-    x = None
     for u in succ.rows:
-        if not contains(base, u):
-            x = reduce_vector(base, u)
-            break
-    if x is None:
-        raise ValueError("successor base equals the current base")
-    lead = next(i for i, c in enumerate(x) if c)
-    f = ctx.inv(x[lead])
-    if f != 1:
-        mul = ctx.mul
-        x = [mul(f, c) for c in x]
-    q = ctx.q
-    idx = 0
-    for r in reversed(_nonpivot_columns(base)):
-        idx = idx * q + x[r]
-    return idx
+        x = reduce_vector(base, u)
+        if any(x):
+            return _reduced_class_index(base, x)
+    raise ValueError("successor base equals the current base")
 
 
 def closing_class_from_direction(base: CanonicalSubspace, x) -> int:
@@ -235,15 +182,19 @@ def closing_class_from_direction(base: CanonicalSubspace, x) -> int:
 
     x must lie outside base.  (base + succ) / base is one-dimensional, so
     every such x reduces against base to a multiple of one vector, and the
-    normalized remainder is the one closing_class_index finds by testing
-    the successor's rows for membership one at a time.
+    normalized remainder is the one closing_class_index finds by reducing
+    the successor's rows one at a time.
     """
-    ctx = base.ctx
     x = reduce_vector(base, x)
-    lead = next((i for i, c in enumerate(x) if c), None)
-    if lead is None:
+    if not any(x):
         raise ValueError("direction lies in the base")
-    f = ctx.inv(x[lead])
+    return _reduced_class_index(base, x)
+
+
+def _reduced_class_index(base: CanonicalSubspace, x) -> int:
+    """Class of a nonzero x reduced against base, scaled to lead with 1."""
+    ctx = base.ctx
+    f = ctx.inv(x[leading_column(x)])
     if f != 1:
         mul = ctx.mul
         x = [mul(f, c) for c in x]
@@ -394,8 +345,7 @@ def _allowed_class_indices(prev_base, prev_rep, cur_base):
 
     The bases are consecutive in a Gray code, so prev_base is their
     intersection plus one row u outside cur_base, and modulo cur_base the
-    class [prev_rep]_prev_base falls into the q classes of prev_rep + eps*u
-    (the argument of compatible_next_vectors).
+    class [prev_rep]_prev_base falls into the q classes of prev_rep + eps*u.
     """
     ctx = cur_base.ctx
     add, mul = ctx.add, ctx.mul

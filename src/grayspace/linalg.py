@@ -12,7 +12,7 @@ The 0 x n empty matrix is the canonical form of the trivial subspace.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, count, product
 
 from .field import FieldContext
 
@@ -78,18 +78,23 @@ def rref(rows, n: int, ctx: FieldContext):
     return [tuple(r) for r in work[:rank]], tuple(pivots)
 
 
-def _leading(row):
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return None
+def leading_column(row) -> int:
+    """Column of row's first nonzero entry; len(row) for a zero row."""
+    return next(compress(count(), row), len(row))
+
+
+def last_nonzero(row) -> int:
+    """Column of row's last nonzero entry; -1 for a zero row."""
+    if row and row[-1]:
+        return len(row) - 1
+    return len(row) - 1 - next(compress(count(), reversed(row)), len(row))
 
 
 def is_rref(rows, n: int, ctx: FieldContext) -> bool:
     last = -1
     for i, row in enumerate(rows):
-        lead = _leading(row)
-        if lead is None or lead <= last:
+        lead = leading_column(row)
+        if lead == len(row) or lead <= last:
             return False
         if row[lead] != 1:
             return False
@@ -171,48 +176,8 @@ def subspace_sum(a: CanonicalSubspace, b: CanonicalSubspace):
 
 
 def intersect(a: CanonicalSubspace, b: CanonicalSubspace):
-    """Intersection via the left kernel of the stacked bases."""
-    _check_ambient(a, b)
-    ctx, n = a.ctx, a.n
-    stacked = list(a.rows) + list(b.rows)
-    m = len(stacked)
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    # eliminate with an identity augmentation; rows that vanish give
-    # combinations u*A + v*B = 0, and then u*A lies in the intersection
-    work = [list(stacked[i]) + [1 if j == i else 0 for j in range(m)]
-            for i in range(m)]
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        row = work[rank]
-        f = inv(row[col])
-        if f != 1:
-            work[rank] = row = [mul(f, x) for x in row]
-        for i in range(rank + 1, m):
-            if work[i][col]:
-                g = work[i][col]
-                work[i] = [sub(x, mul(g, y)) for x, y in zip(work[i], row)]
-        rank += 1
-    vectors = []
-    ka = a.k
-    for i in range(rank, m):
-        combo = work[i][n:]
-        vec = [0] * n
-        add = ctx.add
-        for t in range(ka):
-            c = combo[t]
-            if c:
-                arow = a.rows[t]
-                vec = [add(x, mul(c, y)) for x, y in zip(vec, arow)]
-        vectors.append(tuple(vec))
-    return canonicalize(vectors, n, ctx)
+    """Intersection as the complement of the sum of the complements."""
+    return dual(subspace_sum(dual(a), dual(b)))
 
 
 def dual(a: CanonicalSubspace) -> CanonicalSubspace:
@@ -269,8 +234,8 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
             if c:
                 f = mul(c, inv(row[p]))
                 v = [sub(x, mul(f, y)) if y else x for x, y in zip(v, row)]
-        lead = _leading(v)
-        if lead is not None:
+        lead = leading_column(v)
+        if lead < len(v):
             extra.append(v)
             extra_piv.append(lead)
             rank += 1
@@ -298,10 +263,10 @@ def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     v must be zero on base's pivot columns and independent of it; the new
     row slots between existing rows by its leading column.
     """
-    lead = _leading(v)
-    if lead is None or any(v[p] for p in base.pivots):
+    lead = leading_column(v)
+    if lead == len(v) or any(v[p] for p in base.pivots):
         raise ValueError("vector must be reduced against the base and nonzero")
-    trail = max(i for i, c in enumerate(v) if c)
+    trail = last_nonzero(v)
     if v[trail] != 1:
         ctx = base.ctx
         f = ctx.inv(v[trail])

@@ -152,20 +152,10 @@ def necklace_decompose(n: int, dim: int, ctx_qn: FieldContext):
 # Path search for the middle levels, n in {3, 5}.
 
 
-def _contained_candidates(y, necklaces, used, index_of):
-    """Members of unused necklaces lying inside y, deterministic order."""
+def _candidates(subs, used, index_of):
+    """(necklace, member) for the subs in unused necklaces, sorted."""
     out = []
-    for sub in subspaces_of(y, y.k - 1):
-        i = index_of.get(pack_subspace(sub))
-        if i is not None and i not in used:
-            out.append((i, sub))
-    out.sort(key=lambda t: (t[0], t[1].rows))
-    return out
-
-
-def _containing_candidates(x, necklaces, used, index_of):
-    out = []
-    for sub in superspaces_of(x, x.k + 1):
+    for sub in subs:
         i = index_of.get(pack_subspace(sub))
         if i is not None and i not in used:
             out.append((i, sub))
@@ -186,14 +176,11 @@ def search_necklace_path(n: int, ctx_qn: FieldContext) -> NecklacePath:
     assert len(upper) == s
     size = q_number(n, q)
     alpha = ctx_qn.primitive_index()
-    lower_index = {}
-    for i, nk in enumerate(lower):
-        for member in nk.orbit:
-            lower_index[pack_subspace(member)] = i
-    upper_index = {}
-    for i, nk in enumerate(upper):
-        for member in nk.orbit:
-            upper_index[pack_subspace(member)] = i
+    lower_index, upper_index = {}, {}
+    for necklaces, index_of in ((lower, lower_index), (upper, upper_index)):
+        for i, nk in enumerate(necklaces):
+            for member in nk.orbit:
+                index_of[pack_subspace(member)] = i
 
     x0 = lower[0].representative
     path = [x0]
@@ -211,14 +198,15 @@ def search_necklace_path(n: int, ctx_qn: FieldContext) -> NecklacePath:
     def extend():
         if len(path) == 2 * s:
             return close(path[-1]) is not None
+        last = path[-1]
         if len(path) % 2 == 1:
-            cands = _containing_candidates(path[-1], upper,
-                                           used_upper, upper_index)
             used = used_upper
+            cands = _candidates(superspaces_of(last, last.k + 1), used,
+                                upper_index)
         else:
-            cands = _contained_candidates(path[-1], lower,
-                                          used_lower, lower_index)
             used = used_lower
+            cands = _candidates(subspaces_of(last, last.k - 1), used,
+                                lower_index)
         for i, sub in cands:
             used.add(i)
             path.append(sub)

@@ -9,8 +9,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-_PRODUCT_TREE_MIN_K = 8
-
 
 def _exact_div(num: int, den: int) -> int:
     quo, rem = divmod(num, den)
@@ -58,23 +56,9 @@ def gaussian_product_tree(n: int, k: int, q: int) -> int:
     return _exact_div(num, den)
 
 
-def _gaussian_running(n: int, k: int, q: int) -> int:
-    g = 1
-    for i in range(k):
-        # partial product is [n, i+1]_q, so each step divides exactly
-        g = _exact_div(g * (q ** (n - i) - 1), q ** (i + 1) - 1)
-    return g
-
-
 def gaussian(n: int, k: int, q: int) -> int:
     """Number of k-dim subspaces of GF(q)^n (k outside [0, n] gives 0)."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if k < 0 or k > n:
-        return 0
-    if k >= _PRODUCT_TREE_MIN_K:
-        return gaussian_product_tree(n, k, q)
-    return _gaussian_running(n, k, q)
+    return gaussian_product_tree(n, k, q)
 
 
 def gaussian_step_down(g: int, n: int, k: int, q: int):

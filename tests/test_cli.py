@@ -152,6 +152,14 @@ def test_verify_crlf_and_trailing_blanks(capsys, tmp_path):
     assert code == 4 and out == "" and "empty" in err
 
 
+def test_unwritable_out_path(capsys, tmp_path):
+    missing = str(tmp_path / "no_such_dir" / "x.gray")
+    for argv in (["gen", "--n", "3", "--k", "1", "--q", "2"],
+                 ["proj", "--n", "3", "--q", "2"]):
+        code, out, err = run(capsys, *argv, "--out", missing)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_proj_unsupported(capsys):
     code, _, err = run(capsys, "proj", "--n", "7", "--q", "2")
     assert code == 2 and "unsupported" in err

@@ -192,6 +192,23 @@ def test_decode_fast_matches_decode_at_large_parameters():
             assert L.grassmann_adjacent(sub, encode(params, (m + 1) % total))
 
 
+def test_round_trip_at_prime_field_above_256():
+    # the entry 256 does not fit in a byte, and rows ending in 0 miss the
+    # last-entry shortcut of the last-nonzero scan
+    ctx = field_from_order(257)
+    params = CodecParams(4, 2, ctx)
+    for rows in [((256, 1, 0, 0), (0, 0, 1, 0)),
+                 ((1, 0, 0, 0), (0, 256, 1, 0)),
+                 ((0, 256, 1, 0), (0, 0, 0, 1)),
+                 ((256, 1, 0, 0), (0, 0, 256, 1)),
+                 ((256, 0, 1, 0), (0, 1, 0, 1))]:
+        W = L.canonicalize(rows, 4, ctx)
+        assert W.rows == rows
+        m = decode(params, W)
+        assert decode_fast(params, W) == m
+        assert encode(params, m) == W
+
+
 def test_decode_fast_successor_direction():
     # the direction decode_fast and encode read off an item's block position
     # spans the next item modulo the item, wraparound pair included

@@ -14,8 +14,7 @@ from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
                                       build_simple, class_index,
                                       class_representative,
                                       closing_class_from_direction,
-                                      closing_class_index,
-                                      compatible_next_vectors, dual_code,
+                                      closing_class_index, dual_code,
                                       explicit_representatives, iter_simple,
                                       read_gray_file, verify_gray,
                                       write_gray_file)
@@ -69,52 +68,6 @@ def test_class_representative():
     assert class_representative(base, w) == rep
     with pytest.raises(ValueError):
         class_representative(base, (1, 0, 0))
-
-
-def test_compatible_next_vectors_example():
-    c1 = L.canonicalize([(1, 0)], 2, F2)
-    c2 = L.canonicalize([(0, 1)], 2, F2)
-    got = compatible_next_vectors(c1, c2, (0, 0, 1))
-    want = {L.canonicalize([(0, 1, 0), (0, 0, 1)], 3, F2),
-            L.canonicalize([(0, 1, 0), (1, 0, 1)], 3, F2)}
-    assert set(got) == want
-
-
-def test_compatible_next_vectors_against_filter():
-    rng = random.Random(9)
-    checked = 0
-    while checked < 60:
-        ctx = (F2, F3)[rng.randrange(2)]
-        n = rng.randrange(3, 6)
-        k = rng.randrange(2, n)
-        subs = list(L.enumerate_subspaces(n - 1, k - 1, ctx))
-        c1, c2 = rng.sample(subs, 2)
-        if L.intersection_dim(c1, c2) != k - 2:
-            continue
-        v1 = [rng.randrange(ctx.q) for _ in range(n - 1)] + [1]
-        big1 = L.canonicalize([r + (0,) for r in c1.rows] + [tuple(v1)],
-                              n, ctx)
-        got = set(compatible_next_vectors(c1, c2, tuple(v1)))
-        assert len(got) == ctx.q
-        # brute force: every extension of c2 meeting big1 in dim k-1
-        brute = set()
-        for digits in itertools.product(range(ctx.q), repeat=n - 1):
-            v2 = tuple(digits) + (1,)
-            cand = L.canonicalize([r + (0,) for r in c2.rows] + [v2], n, ctx)
-            if cand.k == k and L.intersection_dim(big1, cand) == k - 1:
-                brute.add(cand)
-        assert got == brute
-        checked += 1
-
-
-def test_compatible_next_vectors_preconditions():
-    c1 = L.canonicalize([(1, 0, 0), (0, 1, 0)], 3, F2)
-    c2 = L.canonicalize([(1, 0, 0), (0, 0, 1)], 3, F2)
-    with pytest.raises(ValueError):
-        compatible_next_vectors(c1, c2, (1, 0, 0, 0))
-    c3 = L.canonicalize([(1, 0, 0)], 3, F2)
-    with pytest.raises(ValueError):
-        compatible_next_vectors(c1, c3, (0, 0, 0, 1))
 
 
 def test_build_simple_degenerate():
@@ -283,7 +236,12 @@ def test_closing_class_from_direction_matches_reference():
         items = list(iter_simple(n, k, ctx))
         for base, succ in zip(items, items[1:] + items[:1]):
             want = closing_class_index(base, succ)
-            outside = [u for u in succ.rows if not L.contains(base, u)]
+            # the rule itself: the closing representative less its final 1
+            # is a vector of succ + base whose leading entry is 1
+            x = explicit_representatives(base, ctx).reps[want][:-1]
+            assert x[L.leading_column(x)] == 1
+            assert L.contains(L.subspace_sum(base, succ), x)
+            outside =[u for u in succ.rows if not L.contains(base, u)]
             assert outside
             for u in outside:
                 for alpha in range(1, q):

@@ -93,15 +93,38 @@ def test_simple_and_trivial():
     assert L.full_subspace(3, F3).k == 3
 
 
+def test_row_scans():
+    rng = random.Random(5)
+    rows = [(), (0, 0, 0), (256, 0, 0), (0, 0, 256)]
+    rows += [tuple(rng.choice((0, 0, 1, 300)) for _ in range(rng.randrange(7)))
+             for _ in range(200)]
+    for row in rows + [list(r) for r in rows]:
+        nonzero = [j for j, x in enumerate(row) if x]
+        assert L.leading_column(row) == (nonzero or [len(row)])[0]
+        assert L.last_nonzero(row) == (nonzero or [-1])[-1]
+
+
 def test_sum_intersection_dimension_formula():
     rng = random.Random(17)
+    n = 5
+    pairs = []
     for _ in range(80):
         ctx = [F2, F3][rng.randrange(2)]
-        n = 5
         a = L.canonicalize(random_rows(rng, n, rng.randrange(1, 4), ctx),
                            n, ctx)
         b = L.canonicalize(random_rows(rng, n, rng.randrange(1, 4), ctx),
                            n, ctx)
+        pairs.append((a, b))
+    # table fields, and the trivial and full operands at every field
+    for ctx in (F2, F3, make_field(2, 2), make_field(3, 2)):
+        for _ in range(10):
+            a, b = (L.canonicalize(random_rows(rng, n, rng.randrange(n + 1),
+                                               ctx), n, ctx)
+                    for _ in range(2))
+            pairs.append((a, b))
+        for c in (L.trivial_subspace(n, ctx), L.full_subspace(n, ctx)):
+            pairs.extend(((a, c), (c, b), (c, c)))
+    for a, b in pairs:
         inter = L.intersect(a, b)
         total = L.subspace_sum(a, b)
         assert inter.k + total.k == a.k + b.k

@@ -70,7 +70,7 @@ def test_step_down():
 
 
 def test_large_product_tree_consistency():
-    # exercise the k >= 8 path against the recurrence-built value
+    # k >= 8 against the recurrence-built value
     table = {(0, 0): 1}
     n_max, q = 20, 2
     for n in range(1, n_max + 1):
