@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen, encode, decode, count, proj, nonexist, verify, bench.
+Subcommands: gen, encode, decode, count, proj, nonexist, verify.
 Exit codes: 0 success, 1 verification or I/O failure, 2 invalid
 parameters, 3 dimension mismatch, 4 file parse failure.
 """
@@ -10,10 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import random
-import statistics
 import sys
-import time
 
 from . import codec, grassmann_gray, projective_gray
 from .field import extend_field, parse_field_spec
@@ -210,46 +207,6 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL
 
 
-def cmd_bench(args) -> int:
-    ctx = _field(args.q)
-    try:
-        sizes = [int(x) for x in args.n_list.split(",")]
-    except ValueError:
-        raise CliError("--n-list must be comma-separated integers, got %r"
-                       % args.n_list, EXIT_PARAMS)
-    if args.samples < 1:
-        raise CliError("--samples must be at least 1", EXIT_PARAMS)
-    rng = random.Random(args.bench_seed)
-    rows = []
-    for n in sizes:
-        _check_nk(n, args.k)
-        params = codec.CodecParams(n, args.k, ctx)
-        total = params.size
-        enc_t, dec_t, fast_t = [], [], []
-        for _ in range(args.samples):
-            m = rng.randrange(total)
-            t0 = time.perf_counter()
-            sub = codec.encode(params, m)
-            t1 = time.perf_counter()
-            codec.decode(params, sub)
-            t2 = time.perf_counter()
-            codec.decode_fast(params, sub)
-            t3 = time.perf_counter()
-            enc_t.append(t1 - t0)
-            dec_t.append(t2 - t1)
-            fast_t.append(t3 - t2)
-        rows.append((n, statistics.median(enc_t), statistics.median(dec_t),
-                     statistics.median(fast_t)))
-    if args.json:
-        print(json.dumps([{"n": n, "encode": e, "decode": d,
-                           "decode_fast": f} for n, e, d, f in rows]))
-    else:
-        print("%8s %12s %12s %12s" % ("n", "encode", "decode", "decode_fast"))
-        for n, e, d, f in rows:
-            print("%8d %12.6f %12.6f %12.6f" % (n, e, d, f))
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="grayspace",
@@ -308,14 +265,6 @@ def build_parser():
     p.add_argument("file", nargs="?", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="median codec timings")
-    p.add_argument("--n-list", default="16,32,64,128")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--bench-seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -28,7 +28,7 @@ from .grassmann_gray import (class_at_position, class_position,
                              closing_class_index, _append_zero_col,
                              _class_digits, _nonpivot_columns, _rep_vector)
 from .linalg import (CanonicalSubspace, extend_subspace, last_nonzero,
-                     leading_column, simple_subspace)
+                     leading_column, simple_subspace, _packed_rows)
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
 
 
@@ -100,29 +100,33 @@ def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     return _encode(params.n, params.k, params.q, params.ctx, m, False)[0]
 
 
-def _extension_parts(ctx, n, rows):
+def _extension_parts(ctx, n, rows, packed):
     """The extending row and the base left when it is removed.
 
     The extending row is the one row nonzero in column n-1.  It must end
     in 1 there and vanish on the base's pivot columns, as the canonical
-    matrix does; otherwise ValueError.
+    matrix does; otherwise ValueError.  packed, None or the rows' GF(2)
+    ints, gives the base its rows' ints: the dropped column is zero.
     """
     v = None
     inner_rows = []
-    for r in rows:
+    for j, r in enumerate(rows):
         if r[n - 1]:
             if v is not None:
                 raise ValueError("not a canonical extension matrix")
-            v = r
+            v, ext = r, j
         else:
             inner_rows.append(r[:n - 1])
     pivots = tuple(map(leading_column, inner_rows))
     if v[n - 1] != 1 or any(map(v.__getitem__, pivots)):
         raise ValueError("not a canonical extension matrix")
-    return v, CanonicalSubspace(ctx, n - 1, tuple(inner_rows), pivots)
+    if packed is not None:
+        packed = packed[:ext] + packed[ext + 1:]
+    return v, CanonicalSubspace(ctx, n - 1, tuple(inner_rows), pivots,
+                                packed)
 
 
-def _decode(n, k, q, ctx, rows, g):
+def _decode(n, k, q, ctx, rows, packed, g):
     while True:
         if k == 0 or k == n:
             return 0
@@ -133,8 +137,8 @@ def _decode(n, k, q, ctx, rows, g):
             g = g1
             continue
         break
-    v, base = _extension_parts(ctx, n, rows)
-    i = _decode(n - 1, k - 1, q, ctx, list(base.rows), g2)
+    v, base = _extension_parts(ctx, n, rows, packed)
+    i = _decode(n - 1, k - 1, q, ctx, base.rows, base.packed, g2)
     width = q ** (n - k)
     c = _class_digits(v, _nonpivot_columns(base), q)
     if g2 == 1:
@@ -200,10 +204,11 @@ def _next_direction(ctx, n, k, top, i=0, jpos=0, width=0, c=0, last=0,
                        class_at_position(last, width, jpos + 1))
 
 
-def _decode_fast(n, k, q, ctx, rows, want_next):
+def _decode_fast(n, k, q, ctx, rows, want_next, packed=None):
     """(index, x): the index of span(rows) in the (n,k) code and, when
     want_next is set, a vector x of length n that spans the successor
     (item index+1, cyclically) modulo the item; the mirror of _encode.
+    packed is None or the rows' GF(2) ints, handed down to every base.
     """
     if k == 0 or k == n:
         return 0, None
@@ -213,7 +218,7 @@ def _decode_fast(n, k, q, ctx, rows, want_next):
     if top == k:
         x = _next_direction(ctx, n, k, top) if want_next else None
         return 0, x
-    v, base = _extension_parts(ctx, top, rows)
+    v, base = _extension_parts(ctx, top, rows, packed)
     nonpiv = _nonpivot_columns(base)
     c = _class_digits(v, nonpiv, q)
     width = q ** (top - k)
@@ -221,7 +226,8 @@ def _decode_fast(n, k, q, ctx, rows, want_next):
     g2 = gaussian_product_tree(top - 1, k - 1, q)
     # width-1 as in _encode: exact for a lone block, unused for class 0
     need_last = g2 > 1 and (c != 0 or want_next)
-    i, x = _decode_fast(top - 1, k - 1, q, ctx, base.rows, need_last)
+    i, x = _decode_fast(top - 1, k - 1, q, ctx, base.rows, need_last,
+                        base.packed)
     last = closing_class_from_direction(base, x) if need_last else width - 1
     jpos = width - 1 if c == last else class_position(last, c)
     index = g1 + ((width * i + jpos - 1) % (width * g2))
@@ -250,6 +256,11 @@ def _check_input(params, W):
         last = lead
 
 
+def _packed_input(params, W):
+    """W's GF(2) ints, packed once here so no level below packs again."""
+    return _packed_rows(W) if params.q == 2 else None
+
+
 def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     """Index of W in the simple (n,k;q) Gray code.
 
@@ -262,8 +273,8 @@ def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     encode, canonicalize or parse_subspace are canonical.
     """
     _check_input(params, W)
-    return _decode(params.n, params.k, params.q, params.ctx,
-                   list(W.rows), params.size)
+    return _decode(params.n, params.k, params.q, params.ctx, W.rows,
+                   _packed_input(params, W), params.size)
 
 
 def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
@@ -275,7 +286,7 @@ def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
     """
     _check_input(params, W)
     return _decode_fast(params.n, params.k, params.q, params.ctx, W.rows,
-                        False)[0]
+                        False, _packed_input(params, W))[0]
 
 
 def _dual_params(params: CodecParams) -> CodecParams:

@@ -75,9 +75,11 @@ class ExtensionFamily:
 
 def _append_zero_col(sub: CanonicalSubspace,
                      count: int = 1) -> CanonicalSubspace:
+    """sub padded with count zero columns; packed rows carry over as is."""
     pad = (0,) * count
     return CanonicalSubspace(sub.ctx, sub.n + count,
-                             tuple(r + pad for r in sub.rows), sub.pivots)
+                             tuple(r + pad for r in sub.rows), sub.pivots,
+                             sub.packed)
 
 
 def _nonpivot_columns(base: CanonicalSubspace):
@@ -193,10 +195,10 @@ def closing_class_from_direction(base: CanonicalSubspace, x) -> int:
 
 def _reduced_class_index(base: CanonicalSubspace, x) -> int:
     """Class of a nonzero x reduced against base, scaled to lead with 1."""
-    ctx = base.ctx
-    f = ctx.inv(x[leading_column(x)])
-    if f != 1:
-        mul = ctx.mul
+    lead = x[leading_column(x)]
+    if lead != 1:
+        ctx = base.ctx
+        f, mul = ctx.inv(lead), ctx.mul
         x = [mul(f, c) for c in x]
     return class_index(base, x)
 
@@ -457,6 +459,10 @@ def _build_general(n, k, ctx, source, cache):
 
 @dataclass
 class GrayReport:
+    """What verify_gray found.  first_duplicate is the index of the first
+    item equal to an earlier one, first_nonadjacent the index of the first
+    item not adjacent to the item before it; None when there is none.
+    """
     n: int
     k: int | None
     q: int
@@ -469,6 +475,8 @@ class GrayReport:
     first_simple: bool
     ends_intersection_simple: bool | None
     failures: list = dfield(default_factory=list)
+    first_duplicate: int | None = None
+    first_nonadjacent: int | None = None
 
     @property
     def distinct(self) -> bool:
@@ -501,6 +509,7 @@ def verify_gray_stream(items, n, k, ctx, cyclic=True,
     seen = set()
     duplicates = 0
     adjacency_failures = 0
+    first_duplicate = first_nonadjacent = None
     first = prev = None
     size = 0
     failures = []
@@ -513,9 +522,13 @@ def verify_gray_stream(items, n, k, ctx, cyclic=True,
         key = pack_subspace(item)
         if key in seen:
             duplicates += 1
+            if first_duplicate is None:
+                first_duplicate = size
         seen.add(key)
         if prev is not None and not adjacent(prev, item):
             adjacency_failures += 1
+            if first_nonadjacent is None:
+                first_nonadjacent = size
         if first is None:
             first = item
         prev = item
@@ -528,17 +541,21 @@ def verify_gray_stream(items, n, k, ctx, cyclic=True,
     if k and first is not None and size > 1:
         ends_simple = is_simple(intersect(first, prev))
     if duplicates:
-        failures.append("%d duplicate subspaces" % duplicates)
+        failures.append("%d duplicate subspaces (first: item %d)"
+                        % (duplicates, first_duplicate))
     if adjacency_failures:
-        failures.append("%d consecutive pairs not adjacent"
-                        % adjacency_failures)
+        failures.append("%d consecutive pairs not adjacent (first: items "
+                        "%d and %d)" % (adjacency_failures,
+                                        first_nonadjacent - 1,
+                                        first_nonadjacent))
     if wraparound_ok is False:
         failures.append("last and first items not adjacent")
     if require_optimal and size != expected:
         failures.append(size_failure % (size, expected))
     return GrayReport(n, k, ctx.q, cyclic, size, expected, duplicates,
                       adjacency_failures, wraparound_ok, first_simple,
-                      ends_simple, failures)
+                      ends_simple, failures, first_duplicate,
+                      first_nonadjacent)
 
 
 def verify_gray(seq: GraySequence, require_optimal=True) -> GrayReport:

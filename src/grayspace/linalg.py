@@ -8,10 +8,21 @@ need not be 1), equal row spans give byte-identical canonical matrices, and
 subspace equality is defined as equality of canonical matrices.
 
 The 0 x n empty matrix is the canonical form of the trivial subspace.
+
+Over GF(2) the kernels reduce_vector (and so contains), stacked_rank and
+pack_subspace work on packed rows: one Python int per row,
+int.from_bytes(bytes(row), "little"), so column c sits in bits 8c..8c+7,
+XOR is row addition and column c of x is x >> (c << 3) & 1.  A
+CanonicalSubspace keeps its rows packed in the `packed` slot, built on
+first use; tuples stay the form of every result and of the file format.
+Zero columns added or dropped on the right leave every packed int as it
+is, so a subspace derived by padding, stripping or adding one row passes
+the ints it shares with its source on unchanged.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations, compress, count, product
 
 from .field import FieldContext
@@ -20,14 +31,15 @@ from .field import FieldContext
 class CanonicalSubspace:
     """A k-dimensional subspace of GF(q)^n in canonical (tau) form."""
 
-    __slots__ = ("ctx", "n", "k", "rows", "pivots")
+    __slots__ = ("ctx", "n", "k", "rows", "pivots", "packed")
 
-    def __init__(self, ctx: FieldContext, n: int, rows, pivots):
+    def __init__(self, ctx: FieldContext, n: int, rows, pivots, packed=None):
         self.ctx = ctx
         self.n = n
         self.rows = rows
         self.pivots = pivots
         self.k = len(rows)
+        self.packed = packed    # GF(2): rows as ints, None until built
 
     def __eq__(self, other):
         return (isinstance(other, CanonicalSubspace)
@@ -206,9 +218,29 @@ def contains(a: CanonicalSubspace, v) -> bool:
     return not any(r)
 
 
+def _pack_row(row) -> int:
+    return int.from_bytes(bytes(row), "little")
+
+
+def _packed_rows(a: CanonicalSubspace):
+    """a.packed, built on first use; GF(2) only."""
+    packed = a.packed
+    if packed is None:
+        # _pack_row inlined: this runs once per row of every packed item
+        packed = a.packed = tuple([int.from_bytes(bytes(r), "little")
+                                   for r in a.rows])
+    return packed
+
+
 def reduce_vector(a: CanonicalSubspace, v):
     """Eliminate v against the echelon rows; zero iff v is in the span."""
     ctx = a.ctx
+    if ctx.q == 2:
+        x = _pack_row(v)
+        for row, p in zip(_packed_rows(a), a.pivots):
+            if x >> (p << 3) & 1:
+                x ^= row
+        return list(x.to_bytes(len(v), "little"))
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
     v = list(v)
     for row, p in zip(a.rows, a.pivots):
@@ -223,6 +255,17 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
     """rank([A; B]), seeding elimination with A's echelon rows."""
     _check_ambient(a, b)
     ctx = a.ctx
+    if ctx.q == 2:
+        # (row, pivot bit): A's rows, then B's rows independent of them,
+        # each pivoted on its lowest set bit
+        basis = [(row, p << 3) for row, p in zip(_packed_rows(a), a.pivots)]
+        for x in _packed_rows(b):
+            for row, bit in basis:
+                if x >> bit & 1:
+                    x ^= row
+            if x:
+                basis.append((x, (x & -x).bit_length() - 1))
+        return len(basis)
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
     extra = []          # rows independent of A, kept in echelon form
     extra_piv = []
@@ -240,10 +283,6 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
             extra_piv.append(lead)
             rank += 1
     return rank
-
-
-def intersection_dim(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
-    return a.k + b.k - stacked_rank(a, b)
 
 
 def grassmann_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
@@ -264,19 +303,20 @@ def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     row slots between existing rows by its leading column.
     """
     lead = leading_column(v)
-    if lead == len(v) or any(v[p] for p in base.pivots):
+    if lead == len(v) or any(map(v.__getitem__, base.pivots)):
         raise ValueError("vector must be reduced against the base and nonzero")
     trail = last_nonzero(v)
     if v[trail] != 1:
         ctx = base.ctx
         f = ctx.inv(v[trail])
         v = [ctx.mul(f, c) for c in v]
-    pos = 0
-    while pos < base.k and base.pivots[pos] < lead:
-        pos += 1
+    pos = bisect_left(base.pivots, lead)
     rows = base.rows[:pos] + (tuple(v),) + base.rows[pos:]
     pivots = base.pivots[:pos] + (lead,) + base.pivots[pos:]
-    return CanonicalSubspace(base.ctx, base.n, rows, pivots)
+    packed = base.packed
+    if packed is not None:
+        packed = packed[:pos] + (_pack_row(v),) + packed[pos:]
+    return CanonicalSubspace(base.ctx, base.n, rows, pivots, packed)
 
 
 def enumerate_subspaces(n: int, k: int, ctx: FieldContext):
@@ -341,9 +381,17 @@ def superspaces_of(a: CanonicalSubspace, k: int):
 
 
 def pack_subspace(a: CanonicalSubspace) -> int:
-    """Injective encoding of (k, entries) into one int, for distinctness sets."""
+    """Injective encoding of (k, entries) into one int, for distinctness sets.
+
+    Keys compare subspaces of one ambient space and field.
+    """
     q = a.ctx.q
     acc = a.k
+    if q == 2:
+        width = a.n << 3
+        for row in _packed_rows(a):
+            acc = acc << width | row
+        return acc
     for row in a.rows:
         for x in row:
             acc = acc * q + x

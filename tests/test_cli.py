@@ -3,6 +3,8 @@ import json
 import pytest
 
 from grayspace import cli
+from grayspace.grassmann_gray import read_gray_file, verify_gray
+from grayspace.linalg import intersect
 from grayspace.qcombin import gaussian
 
 
@@ -113,6 +115,34 @@ def test_verify_detects_damage(capsys, tmp_path):
     assert code == 1 and "duplicate" in out
 
 
+def test_verify_names_first_failures(capsys, tmp_path):
+    # one swapped pair and one duplicated item; the first duplicate and the
+    # first non-adjacent pair are found here by equality and intersection
+    out_file = tmp_path / "code.gray"
+    run(capsys, "gen", "--n", "4", "--k", "2", "--q", "2",
+        "--out", str(out_file))
+    head, *blocks = out_file.read_text().split("\n\n")
+    with open(out_file) as f:
+        report = verify_gray(read_gray_file(f))
+    assert (report.first_duplicate, report.first_nonadjacent) == (None, None)
+    blocks[5], blocks[9] = blocks[9], blocks[5]
+    blocks[20] = blocks[3]
+    out_file.write_text("\n\n".join([head] + blocks))
+    with open(out_file) as f:
+        seq = read_gray_file(f)
+    items = seq.items
+    dup = next(i for i, it in enumerate(items) if it in items[:i])
+    gap = next(i for i in range(1, len(items))
+               if intersect(items[i - 1], items[i]).k != 1)
+    report = verify_gray(seq)
+    assert (report.first_duplicate, report.first_nonadjacent) == (dup, gap)
+    code, out, _ = run(capsys, "verify", str(out_file))
+    assert code == 1
+    assert "FAIL: 1 duplicate subspaces (first: item %d)\n" % dup in out
+    assert ("consecutive pairs not adjacent (first: items %d and %d)\n"
+            % (gap - 1, gap)) in out
+
+
 def test_verify_parse_failure(capsys, tmp_path):
     bad = tmp_path / "bad.gray"
     bad.write_text("GRAY 3 1 2 7\n\nnot numbers\n")
@@ -190,15 +220,3 @@ def test_gen_pipe_decode_order(capsys, tmp_path):
         code, out, _ = run(capsys, "decode", "--n", "3", "--k", "1",
                            "--q", "3", "--input", str(matrix))
         assert code == 0 and int(out.strip()) == m
-
-
-def test_bench_runs(capsys):
-    code, out, _ = run(capsys, "bench", "--n-list", "8,12", "--k", "2",
-                       "--q", "2", "--samples", "3", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert [row["n"] for row in data] == [8, 12]
-    assert all(row["decode"] > 0 for row in data)
-    for extra in (["--n-list", "a"], ["--n-list", "8", "--samples", "0"]):
-        code, out, err = run(capsys, "bench", "--k", "2", "--q", "2", *extra)
-        assert code == 2 and out == "" and err.startswith("error: ")

@@ -1,9 +1,13 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grayspace import codec
 from grayspace.field import field_from_order, make_field
 from grayspace import linalg as L
+from grayspace.grassmann_gray import _append_zero_col
 from grayspace.qcombin import gaussian
 
 F2 = make_field(2, 1)
@@ -228,3 +232,125 @@ def test_pack_subspace_injective():
             key = L.pack_subspace(sub)
             assert key not in seen
             seen[key] = sub
+
+
+# -- GF(2) packed-row kernels against tuple-row oracles ----------------------
+# Vectors are drawn as ints with column c in bit c, a layout of the tests'
+# own; the library packs column c into bits 8c..8c+7.
+
+GF2_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=150)
+
+
+def _bits(x, n):
+    return tuple(x >> c & 1 for c in range(n))
+
+
+def _fresh_packing(rows):
+    return tuple(int.from_bytes(bytes(r), "little") for r in rows)
+
+
+def _xor_reduce(a, v):
+    v = list(v)
+    for row, p in zip(a.rows, a.pivots):
+        if v[p]:
+            v = [x ^ y for x, y in zip(v, row)]
+    return v
+
+
+@st.composite
+def gf2_cases(draw):
+    """(a, b, v, same) over GF(2)^n, n <= 64.
+
+    b and v mix vectors of a's span with random ones, so overlapping
+    subspaces and members of a both occur; same is a from a reversed,
+    padded basis.
+    """
+    n = draw(st.integers(1, 64))
+    span = [draw(st.integers(0, 2 ** n - 1))
+            for _ in range(draw(st.integers(0, min(n, 6))))]
+
+    def mixed():
+        x = draw(st.integers(0, 2 ** n - 1)) if draw(st.booleans()) else 0
+        for r in span:
+            if draw(st.booleans()):
+                x ^= r
+        return x
+
+    a = L.canonicalize([_bits(x, n) for x in span], n, F2)
+    b = L.canonicalize([_bits(mixed(), n)
+                        for _ in range(draw(st.integers(0, min(n, 6))))],
+                       n, F2)
+    v = _bits(mixed(), n)
+    same = L.canonicalize([_bits(x, n) for x in span[::-1]]
+                          + [_bits(0, n)], n, F2)
+    return a, b, v, same
+
+
+@GF2_SETTINGS
+@given(gf2_cases())
+def test_gf2_kernels_match_oracles(case):
+    a, b, v, same = case
+    n = a.n
+    assert L.stacked_rank(a, b) == L.canonicalize(a.rows + b.rows, n, F2).k
+    assert L.stacked_rank(b, a) == L.stacked_rank(a, b)
+    assert L.contains(a, v) == (L.canonicalize(a.rows + (v,), n, F2).k
+                                == a.k)
+    assert L.reduce_vector(a, v) == _xor_reduce(a, v)
+    assert (L.pack_subspace(a) == L.pack_subspace(b)) == (a == b)
+    assert same == a and L.pack_subspace(same) == L.pack_subspace(a)
+
+
+@GF2_SETTINGS
+@given(gf2_cases())
+def test_packed_rows_carry_through_derived_subspaces(case):
+    a, _, v, _ = case
+    # nothing packs until a GF(2) kernel needs it, and derived subspaces
+    # of an unpacked one stay unpacked
+    assert a.packed is None and _append_zero_col(a, 2).packed is None
+    L.contains(a, v)
+    assert a.packed == _fresh_packing(a.rows)
+    padded = _append_zero_col(a, 3)
+    assert padded.packed == _fresh_packing(padded.rows)
+    x = L.reduce_vector(a, v)
+    if any(x):
+        ext = L.extend_subspace(a, x)
+        assert ext.packed == _fresh_packing(ext.rows)
+        assert L.stacked_rank(ext, ext) == a.k + 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_packed_rows_at_every_codec_level(data):
+    n = data.draw(st.integers(2, 64))
+    k = data.draw(st.integers(1, min(n - 1, 16)))
+    params = codec.CodecParams(n, k, F2)
+    m = data.draw(st.integers(0, params.size - 1))
+    codec_extension_parts = codec._extension_parts
+    levels = []
+
+    def checked(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            if out.packed is not None:
+                assert out.packed == _fresh_packing(out.rows)
+            return out
+        return wrapper
+
+    def extension_parts(*args):
+        v, base = codec_extension_parts(*args)
+        # the decoders pack the input once and hand every base its ints
+        assert base.packed == _fresh_packing(base.rows)
+        levels.append(base)
+        return v, base
+
+    with mock.patch.object(codec, "extend_subspace",
+                           checked(codec.extend_subspace)), \
+            mock.patch.object(codec, "_append_zero_col",
+                              checked(codec._append_zero_col)), \
+            mock.patch.object(codec, "_extension_parts", extension_parts):
+        W = codec.encode(params, m)
+        assert codec.decode_fast(params, W) == m
+        assert codec.decode(params, W) == m
+    assert W.packed == _fresh_packing(W.rows)
+    assert levels or m == 0
