@@ -2,15 +2,24 @@
 
 encode maps an index m to the m-th subspace of the simple cyclic optimal
 (n,k;q)-code without materializing the sequence; decode_fast inverts it.
-Both walk the recursion the construction follows: an item is either the
+Both follow the recursion the construction follows: an item is either the
 simple subspace or, past its trailing zero columns, an extension of a
-(k-1)-dim base of W^(top-1) (block i, the base's index, at position jpos).
+(k-1)-dim base of W^(top-1) (block i, the base's index, at position jpos)
+by one row ending in 1 at column top-1.
 
-Placing the extension in its block needs the block's closing class, which
-depends on the base's successor.  Every level of both recursions returns,
-with its item or index, one vector spanning the item's successor modulo
-the item, read off its block position (_next_direction); the closing
-class then costs one vector reduction and no successor is ever encoded.
+In canonical form a placed row never changes, so the canonical matrix is
+a list of levels, one extending row each, down to a simple subspace.
+encode and decode_fast walk that list in two flat loops.  A top-down pass
+fixes each level's top: encode reads (top, i, jpos) off the Gaussian
+counts, decode_fast reads each row's top once, orders the rows by it and
+checks the canonical-extension conditions.  A bottom-up pass then places
+one row per level at the full width n (_Rows) and computes the level's
+class c and the block's closing class, then the index or the row.
+
+The closing class depends on the base's successor.  Every level yields,
+with its row, one vector x spanning the item's successor modulo the item,
+read off its block position (_next_direction); the closing class then
+costs one vector reduction and no successor is ever encoded.
 
 decode is the plain reference decode_fast is tested against: it strips
 one zero column at a time and takes each closing class from
@@ -20,15 +29,16 @@ and the command line use decode_fast.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
                              closing_class_from_direction,
-                             closing_class_index, _append_zero_col,
-                             _class_digits, _nonpivot_columns, _rep_vector)
-from .linalg import (CanonicalSubspace, extend_subspace, last_nonzero,
-                     leading_column, simple_subspace, _packed_rows)
+                             closing_class_index, _class_digits,
+                             _nonpivot_columns, _rep_vector)
+from .linalg import (CanonicalSubspace, last_nonzero, leading_column,
+                     _pack_row, _packed_rows)
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
 
 
@@ -51,43 +61,101 @@ class CodecParams:
         return gaussian(self.n, self.k, self.q)
 
 
+class _Rows:
+    """The rows of an item, placed bottom-up along its level list.
+
+    Every row has the width of the outermost level and is zero beyond the
+    top of the level that placed it, so it is never padded or spliced
+    again.  The rows stay in echelon order beside their pivots, their
+    GF(2) ints (None for other q) and the nonpivot columns below the
+    current level's ambient dimension; one level changes each by one
+    insertion, at most one removal and an appended range.
+    """
+
+    __slots__ = ("ctx", "rows", "pivots", "packed", "nonpiv")
+
+    def __init__(self, ctx, n, k, rows, packed):
+        """rows, a list with pivots 0..k-1, span W^k in n columns; packed
+        is the list of their GF(2) ints or None."""
+        self.ctx = ctx
+        self.rows = rows
+        self.pivots = list(range(k))
+        self.packed = packed
+        self.nonpiv = list(range(k, n))
+
+    def subspace(self, n):
+        """The rows placed so far, as a subspace of W^n."""
+        packed = self.packed
+        return CanonicalSubspace(self.ctx, n, tuple(self.rows),
+                                 tuple(self.pivots),
+                                 None if packed is None else tuple(packed))
+
+    def place(self, row, word, top, n):
+        """Add the row of a level with this top; its item lives in W^n.
+
+        The row ends in 1 at column top-1 and leads on a nonpivot column
+        (or on top-1 itself), so that column leaves the nonpivots, top-1
+        joins them unless it is the lead, and so do columns top..n-1.
+        """
+        lead = leading_column(row)
+        pos = bisect_left(self.pivots, lead)
+        self.rows.insert(pos, row)
+        self.pivots.insert(pos, lead)
+        if self.packed is not None:
+            self.packed.insert(pos, word)
+        nonpiv = self.nonpiv
+        if lead != top - 1:
+            del nonpiv[bisect_left(nonpiv, lead)]
+            nonpiv.append(top - 1)
+        nonpiv.extend(range(top, n))
+
+
 def _encode(n, k, q, ctx, m, want_next):
     """(item, x): the m-th item of the (n,k) code and, when want_next is
     set, a vector x of length n that spans the successor (item m+1,
     cyclically) modulo the item itself; the mirror of _decode_fast.
     """
-    if k == 0 or k == n:
-        return simple_subspace(n, k, ctx), None
-    # no coefficient is carried per level, so all trailing zero columns
-    # are stripped in one jump: items below g1 = [top-1 k]_q lie inside
-    # W^(top-1), and none does once top == k
-    top, g1 = n, gaussian_product_tree(n - 1, k, q)
-    while m < g1:
-        top -= 1
-        g1 = gaussian_product_tree(top - 1, k, q)
-    if top == k:
-        x = _next_direction(ctx, n, k, top) if want_next else None
-        return simple_subspace(n, k, ctx), x
-    width = q ** (top - k)
-    g2 = gaussian_product_tree(top - 1, k - 1, q)
-    t = m - g1 + 1
-    i = (t // width) % g2
-    jpos = t % width
-    # without need_last, width-1 is exact for a lone block (plain order)
-    # and unused at position 0, which always holds class 0
-    need_last = g2 > 1 and (jpos != 0 or want_next)
-    base, x = _encode(top - 1, k - 1, q, ctx, i, need_last)
-    last = closing_class_from_direction(base, x) if need_last else width - 1
-    c = class_at_position(last, width, jpos)
-    nonpiv = _nonpivot_columns(base)
-    item = extend_subspace(_append_zero_col(base),
-                           _rep_vector(base, nonpiv, c))
-    if top < n:
-        item = _append_zero_col(item, n - top)
-    if not want_next:
-        return item, None
-    return item, _next_direction(ctx, n, k, top, i, jpos, width, c, last,
-                                 nonpiv)
+    width_n = n
+    x = None
+    # top-down: each extension level's item is item i of the (top-1, k-1)
+    # code, whose own successor direction is wanted when need_last is set
+    levels = []
+    while 0 < k < n:
+        # items below g1 = [top-1 k]_q lie inside W^(top-1), and none does
+        # once top == k, so all trailing zero columns go in one jump
+        top, g1 = n, gaussian_product_tree(n - 1, k, q)
+        while m < g1:
+            top -= 1
+            g1 = gaussian_product_tree(top - 1, k, q)
+        if top == k:
+            if want_next:
+                x = _next_direction(ctx, n, k, top)
+            break
+        width = q ** (top - k)
+        g2 = gaussian_product_tree(top - 1, k - 1, q)
+        t = m - g1 + 1
+        i = (t // width) % g2
+        jpos = t % width
+        # without need_last, width-1 is exact for a lone block (plain
+        # order) and unused at position 0, which always holds class 0
+        need_last = g2 > 1 and (jpos != 0 or want_next)
+        levels.append((n, k, top, i, jpos, width, need_last, want_next))
+        n, k, m, want_next = top - 1, k - 1, i, need_last
+    simple = [tuple(_unit(width_n, r)) for r in range(k)]
+    path = _Rows(ctx, n, k, simple,
+                 list(map(_pack_row, simple)) if q == 2 else None)
+    pad = (0,) * width_n
+    for n, k, top, i, jpos, width, need_last, want_next in reversed(levels):
+        base = path.subspace(top - 1)
+        last = closing_class_from_direction(base, x) if need_last \
+            else width - 1
+        c = class_at_position(last, width, jpos)
+        v = _rep_vector(base, path.nonpiv, c)
+        x = _next_direction(ctx, n, k, top, i, jpos, width, c, last,
+                            path.nonpiv) if want_next else None
+        path.place(tuple(v) + pad[top:], _pack_row(v) if q == 2 else None,
+                   top, n)
+    return path.subspace(width_n), x
 
 
 def encode(params: CodecParams, m: int) -> CanonicalSubspace:
@@ -208,37 +276,60 @@ def _decode_fast(n, k, q, ctx, rows, want_next, packed=None):
     """(index, x): the index of span(rows) in the (n,k) code and, when
     want_next is set, a vector x of length n that spans the successor
     (item index+1, cyclically) modulo the item; the mirror of _encode.
-    packed is None or the rows' GF(2) ints, handed down to every base.
+    packed is None or the rows' GF(2) ints.
     """
     if k == 0 or k == n:
         return 0, None
-    # no coefficient is carried per level, so all trailing zero columns
-    # are stripped in one jump
-    top = max(map(last_nonzero, rows)) + 1
-    if top == k:
-        x = _next_direction(ctx, n, k, top) if want_next else None
-        return 0, x
-    v, base = _extension_parts(ctx, top, rows, packed)
-    nonpiv = _nonpivot_columns(base)
-    c = _class_digits(v, nonpiv, q)
-    width = q ** (top - k)
-    g1 = gaussian_product_tree(top - 1, k, q)
-    g2 = gaussian_product_tree(top - 1, k - 1, q)
-    # width-1 as in _encode: exact for a lone block, unused for class 0
-    need_last = g2 > 1 and (c != 0 or want_next)
-    i, x = _decode_fast(top - 1, k - 1, q, ctx, base.rows, need_last,
-                        base.packed)
-    last = closing_class_from_direction(base, x) if need_last else width - 1
-    jpos = width - 1 if c == last else class_position(last, c)
-    index = g1 + ((width * i + jpos - 1) % (width * g2))
-    if not want_next:
-        return index, None
-    return index, _next_direction(ctx, n, k, top, i, jpos, width, c, last,
-                                  nonpiv)
+    width_n = n
+    x = None
+    # each level's extending row is the one with the level's top, so the
+    # rows in descending order of top are the levels, top down
+    tops = [last_nonzero(r) + 1 for r in rows]
+    leads = list(map(leading_column, rows))
+    order = sorted(range(k), key=tops.__getitem__, reverse=True)
+    levels = []
+    for depth, j in enumerate(order):
+        top = tops[j]
+        if top == k:
+            if want_next:
+                x = _next_direction(ctx, n, k, top)
+            break
+        v = rows[j]
+        below = order[depth + 1:]
+        if ((below and tops[below[0]] == top) or v[top - 1] != 1
+                or any(map(v.__getitem__, map(leads.__getitem__, below)))):
+            raise ValueError("not a canonical extension matrix")
+        g2 = gaussian_product_tree(top - 1, k - 1, q)
+        levels.append((n, k, top, j, g2, want_next))
+        # c is not known yet, so the level below is asked for its
+        # direction whenever this block has a successor; a class-0 item
+        # not asked for its own direction leaves it unread
+        n, k, want_next = top - 1, k - 1, g2 > 1
+    rest = sorted(order[len(levels):])
+    path = _Rows(ctx, n, k, [rows[j] for j in rest],
+                 None if packed is None else [packed[j] for j in rest])
+    index = 0
+    for n, k, top, j, g2, want_next in reversed(levels):
+        v = rows[j]
+        c = _class_digits(v, path.nonpiv, q)
+        width = q ** (top - k)
+        # width-1 as in _encode: exact for a lone block, unused for class 0
+        need_last = g2 > 1 and (c != 0 or want_next)
+        last = closing_class_from_direction(path.subspace(top - 1), x) \
+            if need_last else width - 1
+        jpos = width - 1 if c == last else class_position(last, c)
+        i = index
+        index = gaussian_product_tree(top - 1, k, q) + (
+            (width * i + jpos - 1) % (width * g2))
+        x = _next_direction(ctx, n, k, top, i, jpos, width, c, last,
+                            path.nonpiv) if want_next else None
+        path.place(v, None if packed is None else packed[j], top, n)
+    return index, x
 
 
 def _check_input(params, W):
-    """Reject a subspace of the wrong shape or field, or of rank below k.
+    """Reject a subspace of the wrong shape or field, entries outside the
+    field, or rank below k.
 
     Nonzero rows with strictly increasing leading columns certify rank k.
     """
@@ -247,8 +338,15 @@ def _check_input(params, W):
                          "(%d, %d)" % (W.n, W.k, params.n, params.k))
     if W.ctx is not params.ctx:
         raise ValueError("field mismatch")
+    rows = W.rows
+    if any(length != W.n for length in map(len, rows)):
+        raise ValueError("rows must have length %d" % W.n)
+    # the distinct entries, collected at C speed, are few
+    entries = set().union(*rows)
+    if entries and not (0 <= min(entries) and max(entries) < params.q):
+        raise ValueError("entries must lie in range(%d)" % params.q)
     last = -1
-    for r in W.rows:
+    for r in rows:
         lead = leading_column(r)
         if not last < lead < len(r):
             raise ValueError("rows are not a row echelon basis of rank %d"
@@ -264,13 +362,14 @@ def _packed_input(params, W):
 def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     """Index of W in the simple (n,k;q) Gray code.
 
-    W's rows must be nonzero with strictly increasing leading columns,
-    and at every extension level the one row leaving the hyperplane must
-    end in 1 there and vanish on the pivot columns of the rows below it,
-    as in the canonical matrix; anything else raises ValueError.  An
-    echelon basis that passes these checks but is not the canonical
-    matrix decodes to the index of the subspace it spans.  Subspaces from
-    encode, canonicalize or parse_subspace are canonical.
+    W's rows must have length n, entries in range(q), be nonzero with
+    strictly increasing leading columns, and at every extension level
+    the one row leaving the hyperplane must end in 1 there and vanish on
+    the pivot columns of the rows below it, as in the canonical matrix;
+    anything else raises ValueError.  An echelon basis that passes these
+    checks but is not the canonical matrix decodes to the index of the
+    subspace it spans.  Subspaces from encode, canonicalize or
+    parse_subspace are canonical.
     """
     _check_input(params, W)
     return _decode(params.n, params.k, params.q, params.ctx, W.rows,
@@ -281,8 +380,8 @@ def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
     """Index of W, as decode, without re-encoding any successor base.
 
     The closing class of every block comes from one successor direction
-    carried up the recursion (see _decode_fast); decode is the reference.
-    Input is checked as in decode.
+    carried up the level list (see _decode_fast); decode is the
+    reference.  Input is checked as in decode.
     """
     _check_input(params, W)
     return _decode_fast(params.n, params.k, params.q, params.ctx, W.rows,

@@ -51,6 +51,8 @@ def gaussian_product_tree(n: int, k: int, q: int) -> int:
         raise ValueError("q must be >= 2")
     if k < 0 or k > n:
         return 0
+    # [n k]_q = [n n-k]_q: the shorter products, which matters for k near n
+    k = min(k, n - k)
     num = _product_tree(q ** (n - i) - 1 for i in range(k))
     den = _product_tree(q ** (i + 1) - 1 for i in range(k))
     return _exact_div(num, den)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grayspace.codec import (CodecParams, _decode_fast, _encode, decode,
                              decode_fast, decode_via_dual, encode,
@@ -90,6 +91,28 @@ def test_decode_rejects_rank_deficient_rows():
                                 tuple(range(len(rows))))
         for fn in (decode, decode_fast, decode_via_dual):
             with pytest.raises(ValueError):
+                fn(params, W)
+
+
+def test_decode_rejects_entries_outside_the_field():
+    # rows of the wrong length and entries outside range(q), which the
+    # decoders would otherwise read as digits, pack or index past
+    F3 = field_from_order(3)
+    cases = [(CodecParams(4, 2, F2), ((1, 0, 0, 0), (0, 1, 2, 1)),
+              "entries must lie in range"),
+             (CodecParams(4, 2, F3), ((1, 0, 0, 0), (0, 1, 5, 1)),
+              "entries must lie in range"),
+             (CodecParams(4, 2, F2), ((1, 0, 0, 0), (0, 1, 1)),
+              "rows must have length"),
+             (CodecParams(4, 2, F2), ((1, 0, 0, 0), (0, 1, 300, 1)),
+              "entries must lie in range"),
+             (CodecParams(4, 2, F2), ((1, 0, 0, 0), (0, 1, -1, 1)),
+              "entries must lie in range")]
+    for params, rows, message in cases:
+        W = L.CanonicalSubspace(params.ctx, params.n, rows,
+                                tuple(range(len(rows))))
+        for fn in (decode, decode_fast, decode_via_dual):
+            with pytest.raises(ValueError, match=message):
                 fn(params, W)
 
 
@@ -192,6 +215,15 @@ def test_decode_fast_matches_decode_at_large_parameters():
             assert L.grassmann_adjacent(sub, encode(params, (m + 1) % total))
 
 
+def test_round_trip_deeper_than_the_stack_limit():
+    # 1050 extension levels: encode and decode_fast loop over the levels,
+    # so their stack depth does not grow with k
+    params = CodecParams(1100, 1050, F2)
+    total = params.size
+    for m in (0, 1, total - 1, random.Random(12).randrange(total)):
+        assert decode_fast(params, encode(params, m)) == m
+
+
 def test_round_trip_at_prime_field_above_256():
     # the entry 256 does not fit in a byte, and rows ending in 0 miss the
     # last-entry shortcut of the last-nonzero scan
@@ -236,3 +268,41 @@ def test_via_dual():
     # below the midpoint it falls back to the primal codec
     p2 = CodecParams(4, 2, F2)
     assert encode_via_dual(p2, 7) == encode(p2, 7)
+
+
+CODEC_FIELDS = [field_from_order(q) for q in (2, 3, 4, 8)]
+
+
+@st.composite
+def codec_cases(draw):
+    ctx = draw(st.sampled_from(CODEC_FIELDS))
+    n = draw(st.integers(1, 256))
+    k = draw(st.integers(0, min(n, 16)))
+    params = CodecParams(n, k, ctx)
+    return params, draw(st.integers(0, params.size - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(codec_cases())
+def test_round_trip_property(case):
+    params, m = case
+    sub = encode(params, m)
+    assert decode(params, sub) == decode_fast(params, sub) == m
+    if params.size > 1:
+        assert L.grassmann_adjacent(sub,
+                                    encode(params, (m + 1) % params.size))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(codec_cases(), st.randoms(use_true_random=False))
+def test_uniform_random_subspace_round_trip(case, rng):
+    # a uniform random full-rank k x n matrix spans a uniform random
+    # k-space, so this decodes arbitrary subspaces, not encoder outputs
+    params, _ = case
+    n, k, ctx = params.n, params.k, params.ctx
+    while True:
+        W = L.canonicalize([[rng.randrange(ctx.q) for _ in range(n)]
+                            for _ in range(k)], n, ctx)
+        if W.k == k:
+            break
+    assert encode(params, decode_fast(params, W)) == W

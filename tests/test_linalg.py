@@ -326,16 +326,17 @@ def test_packed_rows_at_every_codec_level(data):
     k = data.draw(st.integers(1, min(n - 1, 16)))
     params = codec.CodecParams(n, k, F2)
     m = data.draw(st.integers(0, params.size - 1))
+    codec_encode = codec._encode
     codec_extension_parts = codec._extension_parts
+    codec_closing_class = codec.closing_class_from_direction
     levels = []
 
-    def checked(fn):
-        def wrapper(*args):
-            out = fn(*args)
-            if out.packed is not None:
-                assert out.packed == _fresh_packing(out.rows)
-            return out
-        return wrapper
+    def encode_checked(*args):
+        # every item _encode returns: the reference decode's successors
+        # and encode's own result
+        item, x = codec_encode(*args)
+        assert item.packed == _fresh_packing(item.rows)
+        return item, x
 
     def extension_parts(*args):
         v, base = codec_extension_parts(*args)
@@ -344,12 +345,18 @@ def test_packed_rows_at_every_codec_level(data):
         levels.append(base)
         return v, base
 
-    with mock.patch.object(codec, "extend_subspace",
-                           checked(codec.extend_subspace)), \
-            mock.patch.object(codec, "_append_zero_col",
-                              checked(codec._append_zero_col)), \
-            mock.patch.object(codec, "_extension_parts", extension_parts):
+    def closing_class(base, x):
+        # the bases encode and decode_fast build level by level
+        assert base.packed == _fresh_packing(base.rows)
+        assert base.pivots == tuple(map(L.leading_column, base.rows))
+        return codec_closing_class(base, x)
+
+    with mock.patch.object(codec, "_encode", encode_checked), \
+            mock.patch.object(codec, "_extension_parts", extension_parts), \
+            mock.patch.object(codec, "closing_class_from_direction",
+                              closing_class):
         W = codec.encode(params, m)
+        assert W.packed == _fresh_packing(W.rows)
         assert codec.decode_fast(params, W) == m
         assert codec.decode(params, W) == m
     assert W.packed == _fresh_packing(W.rows)

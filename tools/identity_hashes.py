@@ -1,0 +1,163 @@
+"""Output-identity hashes of the codec, the GRAY/PROJ writers and verify.
+
+Run from anywhere as `python3 tools/identity_hashes.py`; it imports
+grayspace from the `src/` beside this directory.  It prints four lines,
+each a label and the first 16 hex digits of a sha256:
+
+  grid      encode, decode, decode_fast, encode_via_dual and decode_via_dual
+            for every index of the acceptance suite's criterion-3 grid
+            ([n k]_q <= 10^4 for q in 2,3,4,5,8 and n <= 12);
+  large     indices 0, 1, 2, P-2, P-1 and five seeded ones at seven large
+            parameter sets: encode, decode_fast and the reference decode;
+  files     the bytes of `grayspace gen`, `gen --seed` and `proj` files;
+  verify    exit code, stdout and stderr of `grayspace verify` on those
+            files and on three damaged copies of each.
+
+Two trees whose lines are equal give identical indices, matrices, file
+bytes and verify verdicts on these inputs.  The grid line takes about a
+minute.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from grayspace import cli  # noqa: E402
+from grayspace.codec import (CodecParams, decode, decode_fast,  # noqa: E402
+                             decode_via_dual, encode, encode_via_dual)
+from grayspace.field import field_from_order  # noqa: E402
+from grayspace.qcombin import gaussian  # noqa: E402
+
+LARGE = [(256, 4, 2), (64, 16, 2), (256, 4, 3), (128, 4, 8), (40, 30, 3),
+         (128, 32, 2), (256, 64, 2)]
+GEN = [(4, 2, 2), (5, 2, 3), (6, 3, 2), (7, 3, 2), (3, 1, 4)]
+SEEDS = (0, 1, 2)
+PROJ = [(n, q) for n in (1, 3, 5) for q in (2, 3)]
+
+
+def digest(lines):
+    h = hashlib.sha256()
+    count = 0
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+        count += 1
+    return "%s (%d lines)" % (h.hexdigest()[:16], count)
+
+
+def grid_lines():
+    for q in (2, 3, 4, 5, 8):
+        ctx = field_from_order(q)
+        for n in range(1, 13):
+            for k in range(n + 1):
+                if gaussian(n, k, q) > 10 ** 4:
+                    continue
+                params = CodecParams(n, k, ctx)
+                for m in range(params.size):
+                    sub = encode(params, m)
+                    dsub = encode_via_dual(params, m)
+                    yield "%d %d %d %d %r %d %d %r %d" % (
+                        n, k, q, m, sub.rows, decode(params, sub),
+                        decode_fast(params, sub), dsub.rows,
+                        decode_via_dual(params, dsub))
+
+
+def large_lines():
+    rng = random.Random(8)
+    for n, k, q in LARGE:
+        params = CodecParams(n, k, field_from_order(q))
+        total = params.size
+        picks = [0, 1, 2, total - 2, total - 1]
+        picks += [rng.randrange(total) for _ in range(5)]
+        for m in picks:
+            sub = encode(params, m)
+            yield "%d %d %d %d %r %d %d" % (n, k, q, m, sub.rows,
+                                            decode_fast(params, sub),
+                                            decode(params, sub))
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_files(tmp):
+    """Every gen/proj file, as (name, path)."""
+    runs = []
+    for n, k, q in GEN:
+        args = ["--n", str(n), "--k", str(k), "--q", str(q)]
+        runs.append(("gen-%d-%d-%d" % (n, k, q), ["gen"] + args))
+        for s in SEEDS:
+            runs.append(("gen-%d-%d-%d-s%d" % (n, k, q, s),
+                         ["gen"] + args + ["--seed", str(s)]))
+    for n, q in PROJ:
+        runs.append(("proj-%d-%d" % (n, q),
+                     ["proj", "--n", str(n), "--q", str(q)]))
+    files = []
+    for name, argv in runs:
+        path = tmp / name
+        code, _, err = run_cli(argv + ["--out", str(path)])
+        if code:
+            raise SystemExit("%s exited %d: %s" % (name, code, err))
+        files.append((name, path))
+    return files
+
+
+def damaged(text):
+    """Three damaged copies: a duplicated block, the last block dropped
+    (count fixed), two blocks swapped."""
+    header, *blocks = text.rstrip("\n").split("\n\n")
+    fields = header.split()
+    if len(blocks) < 4:
+        return []
+    dup = blocks[:2] + [blocks[1]] + blocks[3:]
+    dropped = blocks[:-1]
+    fields[-2] = str(len(dropped))
+    swapped = [blocks[0], blocks[3], blocks[2], blocks[1]] + blocks[4:]
+    join = lambda hdr, bl: "\n\n".join([hdr] + bl) + "\n"  # noqa: E731
+    return [("dup", join(header, dup)),
+            ("drop", join(" ".join(fields), dropped)),
+            ("swap", join(header, swapped))]
+
+
+def file_and_verify_lines(tmp):
+    files = write_files(tmp)
+    file_lines, verify_lines = [], []
+    for name, path in files:
+        text = path.read_text()
+        file_lines.append("%s %s" % (name, hashlib.sha256(
+            path.read_bytes()).hexdigest()))
+        cases = [("as-written", path)]
+        for tag, body in damaged(text):
+            bad = tmp / ("%s-%s" % (name, tag))
+            bad.write_text(body)
+            cases.append((tag, bad))
+        for tag, p in cases:
+            code, out, err = run_cli(["verify", str(p)])
+            verify_lines.append("%s %s %d %r %r" % (name, tag, code, out,
+                                                    err.replace(str(tmp),
+                                                                "")))
+    return file_lines, verify_lines
+
+
+def main():
+    print("grid  ", digest(grid_lines()))
+    print("large ", digest(large_lines()))
+    with tempfile.TemporaryDirectory() as tmp:
+        file_lines, verify_lines = file_and_verify_lines(Path(tmp))
+    print("files ", digest(file_lines))
+    print("verify", digest(verify_lines))
+
+
+if __name__ == "__main__":
+    main()
