@@ -12,9 +12,11 @@ a list of levels, one extending row each, down to a simple subspace.
 encode and decode_fast walk that list in two flat loops.  A top-down pass
 fixes each level's top: encode reads (top, i, jpos) off the Gaussian
 counts, decode_fast reads each row's top once, orders the rows by it and
-checks the canonical-extension conditions.  A bottom-up pass then places
-one row per level at the full width n (_Rows) and computes the level's
-class c and the block's closing class, then the index or the row.
+checks the canonical-extension conditions.  A bottom-up pass then starts
+from the simple subspace at the full width n and adds one row per level
+with extend_subspace, keeping beside the base only the list of its
+nonpivot columns; per level it computes the class c and the block's
+closing class, then the index or the row.
 
 The closing class depends on the base's successor.  Every level yields,
 with its row, one vector x spanning the item's successor modulo the item,
@@ -22,9 +24,9 @@ read off its block position (_next_direction); the closing class then
 costs one vector reduction and no successor is ever encoded.
 
 decode is the plain reference decode_fast is tested against: it strips
-one zero column at a time and takes each closing class from
-closing_class_index on an explicitly encoded successor.  decode_via_dual
-and the command line use decode_fast.
+one zero column at a time, recurses once per extension level and takes
+each closing class from closing_class_index on an explicitly encoded
+successor.  decode_via_dual and the command line use decode_fast.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from dataclasses import dataclass
 
 from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
-                             closing_class_from_direction,
                              closing_class_index, _class_digits,
-                             _nonpivot_columns, _rep_vector)
-from .linalg import (CanonicalSubspace, last_nonzero, leading_column,
-                     _pack_row, _packed_rows)
+                             _closing_class, _nonpivot_columns, _rep_vector)
+from .linalg import (CanonicalSubspace, extend_subspace, last_nonzero,
+                     leading_column, simple_subspace)
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
 
 
@@ -61,53 +62,20 @@ class CodecParams:
         return gaussian(self.n, self.k, self.q)
 
 
-class _Rows:
-    """The rows of an item, placed bottom-up along its level list.
+def _grow(base, nonpiv, v, lead, top, n):
+    """base plus the row v of a level with this top, whose item lives in
+    W^n; nonpiv, base's nonpivot columns below top-1, becomes the new
+    base's below n.
 
-    Every row has the width of the outermost level and is zero beyond the
-    top of the level that placed it, so it is never padded or spliced
-    again.  The rows stay in echelon order beside their pivots, their
-    GF(2) ints (None for other q) and the nonpivot columns below the
-    current level's ambient dimension; one level changes each by one
-    insertion, at most one removal and an appended range.
+    v ends in 1 at column top-1 and leads on a nonpivot column (or on
+    top-1 itself), so that column leaves the nonpivots, top-1 joins them
+    unless it is the lead, and so do columns top..n-1.
     """
-
-    __slots__ = ("ctx", "rows", "pivots", "packed", "nonpiv")
-
-    def __init__(self, ctx, n, k, rows, packed):
-        """rows, a list with pivots 0..k-1, span W^k in n columns; packed
-        is the list of their GF(2) ints or None."""
-        self.ctx = ctx
-        self.rows = rows
-        self.pivots = list(range(k))
-        self.packed = packed
-        self.nonpiv = list(range(k, n))
-
-    def subspace(self, n):
-        """The rows placed so far, as a subspace of W^n."""
-        packed = self.packed
-        return CanonicalSubspace(self.ctx, n, tuple(self.rows),
-                                 tuple(self.pivots),
-                                 None if packed is None else tuple(packed))
-
-    def place(self, row, word, top, n):
-        """Add the row of a level with this top; its item lives in W^n.
-
-        The row ends in 1 at column top-1 and leads on a nonpivot column
-        (or on top-1 itself), so that column leaves the nonpivots, top-1
-        joins them unless it is the lead, and so do columns top..n-1.
-        """
-        lead = leading_column(row)
-        pos = bisect_left(self.pivots, lead)
-        self.rows.insert(pos, row)
-        self.pivots.insert(pos, lead)
-        if self.packed is not None:
-            self.packed.insert(pos, word)
-        nonpiv = self.nonpiv
-        if lead != top - 1:
-            del nonpiv[bisect_left(nonpiv, lead)]
-            nonpiv.append(top - 1)
-        nonpiv.extend(range(top, n))
+    if lead != top - 1:
+        del nonpiv[bisect_left(nonpiv, lead)]
+        nonpiv.append(top - 1)
+    nonpiv.extend(range(top, n))
+    return extend_subspace(base, v)
 
 
 def _encode(n, k, q, ctx, m, want_next):
@@ -141,21 +109,18 @@ def _encode(n, k, q, ctx, m, want_next):
         need_last = g2 > 1 and (jpos != 0 or want_next)
         levels.append((n, k, top, i, jpos, width, need_last, want_next))
         n, k, m, want_next = top - 1, k - 1, i, need_last
-    simple = [tuple(_unit(width_n, r)) for r in range(k)]
-    path = _Rows(ctx, n, k, simple,
-                 list(map(_pack_row, simple)) if q == 2 else None)
+    # bottom-up: every base has rows of width width_n, zero from its top on
+    base = simple_subspace(width_n, k, ctx)
+    nonpiv = list(range(k, n))
     pad = (0,) * width_n
     for n, k, top, i, jpos, width, need_last, want_next in reversed(levels):
-        base = path.subspace(top - 1)
-        last = closing_class_from_direction(base, x) if need_last \
-            else width - 1
+        last = _closing_class(base, x, nonpiv) if need_last else width - 1
         c = class_at_position(last, width, jpos)
-        v = _rep_vector(base, path.nonpiv, c)
+        v = tuple(_rep_vector(q, top, nonpiv, c)) + pad[top:]
         x = _next_direction(ctx, n, k, top, i, jpos, width, c, last,
-                            path.nonpiv) if want_next else None
-        path.place(tuple(v) + pad[top:], _pack_row(v) if q == 2 else None,
-                   top, n)
-    return path.subspace(width_n), x
+                            nonpiv) if want_next else None
+        base = _grow(base, nonpiv, v, leading_column(v), top, n)
+    return base, x
 
 
 def encode(params: CodecParams, m: int) -> CanonicalSubspace:
@@ -168,33 +133,29 @@ def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     return _encode(params.n, params.k, params.q, params.ctx, m, False)[0]
 
 
-def _extension_parts(ctx, n, rows, packed):
+def _extension_parts(ctx, n, rows):
     """The extending row and the base left when it is removed.
 
     The extending row is the one row nonzero in column n-1.  It must end
     in 1 there and vanish on the base's pivot columns, as the canonical
-    matrix does; otherwise ValueError.  packed, None or the rows' GF(2)
-    ints, gives the base its rows' ints: the dropped column is zero.
+    matrix does; otherwise ValueError.
     """
     v = None
     inner_rows = []
-    for j, r in enumerate(rows):
+    for r in rows:
         if r[n - 1]:
             if v is not None:
                 raise ValueError("not a canonical extension matrix")
-            v, ext = r, j
+            v = r
         else:
             inner_rows.append(r[:n - 1])
     pivots = tuple(map(leading_column, inner_rows))
     if v[n - 1] != 1 or any(map(v.__getitem__, pivots)):
         raise ValueError("not a canonical extension matrix")
-    if packed is not None:
-        packed = packed[:ext] + packed[ext + 1:]
-    return v, CanonicalSubspace(ctx, n - 1, tuple(inner_rows), pivots,
-                                packed)
+    return v, CanonicalSubspace(ctx, n - 1, tuple(inner_rows), pivots)
 
 
-def _decode(n, k, q, ctx, rows, packed, g):
+def _decode(n, k, q, ctx, rows, g):
     while True:
         if k == 0 or k == n:
             return 0
@@ -205,8 +166,8 @@ def _decode(n, k, q, ctx, rows, packed, g):
             g = g1
             continue
         break
-    v, base = _extension_parts(ctx, n, rows, packed)
-    i = _decode(n - 1, k - 1, q, ctx, base.rows, base.packed, g2)
+    v, base = _extension_parts(ctx, n, rows)
+    i = _decode(n - 1, k - 1, q, ctx, base.rows, g2)
     width = q ** (n - k)
     c = _class_digits(v, _nonpivot_columns(base), q)
     if g2 == 1:
@@ -272,11 +233,10 @@ def _next_direction(ctx, n, k, top, i=0, jpos=0, width=0, c=0, last=0,
                        class_at_position(last, width, jpos + 1))
 
 
-def _decode_fast(n, k, q, ctx, rows, want_next, packed=None):
+def _decode_fast(n, k, q, ctx, rows, want_next):
     """(index, x): the index of span(rows) in the (n,k) code and, when
     want_next is set, a vector x of length n that spans the successor
     (item index+1, cyclically) modulo the item; the mirror of _encode.
-    packed is None or the rows' GF(2) ints.
     """
     if k == 0 or k == n:
         return 0, None
@@ -305,25 +265,25 @@ def _decode_fast(n, k, q, ctx, rows, want_next, packed=None):
         # direction whenever this block has a successor; a class-0 item
         # not asked for its own direction leaves it unread
         n, k, want_next = top - 1, k - 1, g2 > 1
-    rest = sorted(order[len(levels):])
-    path = _Rows(ctx, n, k, [rows[j] for j in rest],
-                 None if packed is None else [packed[j] for j in rest])
+    # the rows left below the last level have tops <= k and pivots
+    # 0..k-1, so they span W^k: the simple base reduces as they would
+    base = simple_subspace(width_n, k, ctx)
+    nonpiv = list(range(k, n))
     index = 0
     for n, k, top, j, g2, want_next in reversed(levels):
         v = rows[j]
-        c = _class_digits(v, path.nonpiv, q)
+        c = _class_digits(v, nonpiv, q)
         width = q ** (top - k)
         # width-1 as in _encode: exact for a lone block, unused for class 0
         need_last = g2 > 1 and (c != 0 or want_next)
-        last = closing_class_from_direction(path.subspace(top - 1), x) \
-            if need_last else width - 1
+        last = _closing_class(base, x, nonpiv) if need_last else width - 1
         jpos = width - 1 if c == last else class_position(last, c)
         i = index
         index = gaussian_product_tree(top - 1, k, q) + (
             (width * i + jpos - 1) % (width * g2))
         x = _next_direction(ctx, n, k, top, i, jpos, width, c, last,
-                            path.nonpiv) if want_next else None
-        path.place(v, None if packed is None else packed[j], top, n)
+                            nonpiv) if want_next else None
+        base = _grow(base, nonpiv, v, leads[j], top, n)
     return index, x
 
 
@@ -354,11 +314,6 @@ def _check_input(params, W):
         last = lead
 
 
-def _packed_input(params, W):
-    """W's GF(2) ints, packed once here so no level below packs again."""
-    return _packed_rows(W) if params.q == 2 else None
-
-
 def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     """Index of W in the simple (n,k;q) Gray code.
 
@@ -370,10 +325,14 @@ def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     checks but is not the canonical matrix decodes to the index of the
     subspace it spans.  Subspaces from encode, canonicalize or
     parse_subspace are canonical.
+
+    This is the reference: it recurses once per extension level, so near
+    990 levels, e.g. at (1100,1050,2), it raises RecursionError; use
+    decode_fast there.
     """
     _check_input(params, W)
     return _decode(params.n, params.k, params.q, params.ctx, W.rows,
-                   _packed_input(params, W), params.size)
+                   params.size)
 
 
 def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
@@ -385,7 +344,7 @@ def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
     """
     _check_input(params, W)
     return _decode_fast(params.n, params.k, params.q, params.ctx, W.rows,
-                        False, _packed_input(params, W))[0]
+                        False)[0]
 
 
 def _dual_params(params: CodecParams) -> CodecParams:

@@ -19,10 +19,11 @@ import re
 from dataclasses import dataclass, field as dfield
 
 from .field import FieldContext, field_from_order
-from .linalg import (CanonicalSubspace, contains, dual, extend_subspace,
-                     grassmann_adjacent, intersect, is_simple, leading_column,
-                     pack_subspace, projective_adjacent, reduce_vector,
-                     simple_subspace, format_subspace, parse_subspace)
+from .linalg import (CanonicalSubspace, _append_zero_col, contains, dual,
+                     extend_subspace, grassmann_adjacent, intersect,
+                     is_simple, leading_column, pack_subspace,
+                     projective_adjacent, reduce_vector, simple_subspace,
+                     format_subspace, parse_subspace)
 from .qcombin import gaussian
 
 
@@ -73,15 +74,6 @@ class ExtensionFamily:
         return [extend_subspace(ext, v) for v in self.reps]
 
 
-def _append_zero_col(sub: CanonicalSubspace,
-                     count: int = 1) -> CanonicalSubspace:
-    """sub padded with count zero columns; packed rows carry over as is."""
-    pad = (0,) * count
-    return CanonicalSubspace(sub.ctx, sub.n + count,
-                             tuple(r + pad for r in sub.rows), sub.pivots,
-                             sub.packed)
-
-
 def _nonpivot_columns(base: CanonicalSubspace):
     out = []
     start = 0
@@ -92,10 +84,9 @@ def _nonpivot_columns(base: CanonicalSubspace):
     return out
 
 
-def _rep_vector(base, nonpiv, j):
-    """Representative of class j: base-q digits of j on nonpiv, last 1."""
-    q = base.ctx.q
-    n = base.n + 1
+def _rep_vector(q, n, nonpiv, j):
+    """Representative of class j in W^n: base-q digits of j on nonpiv, last
+    entry 1."""
     v = [0] * n
     v[n - 1] = 1
     for r in nonpiv:
@@ -125,7 +116,7 @@ def explicit_representatives(base: CanonicalSubspace,
         raise ValueError("base does not belong to the given field")
     nonpiv = _nonpivot_columns(base)
     return ExtensionFamily(base, tuple(
-        tuple(_rep_vector(base, nonpiv, j))
+        tuple(_rep_vector(ctx.q, base.n + 1, nonpiv, j))
         for j in range(ctx.q ** len(nonpiv))))
 
 
@@ -172,10 +163,11 @@ def closing_class_index(base: CanonicalSubspace,
     Both bases live in W^(n-1) and intersect in codimension 1 there.  The
     result is never 0, so the closing class differs from the opening one.
     """
+    nonpiv = _nonpivot_columns(base)
     for u in succ.rows:
-        x = reduce_vector(base, u)
-        if any(x):
-            return _reduced_class_index(base, x)
+        c = _closing_class(base, u, nonpiv)
+        if c is not None:
+            return c
     raise ValueError("successor base equals the current base")
 
 
@@ -187,20 +179,29 @@ def closing_class_from_direction(base: CanonicalSubspace, x) -> int:
     normalized remainder is the one closing_class_index finds by reducing
     the successor's rows one at a time.
     """
-    x = reduce_vector(base, x)
-    if not any(x):
+    c = _closing_class(base, x, _nonpivot_columns(base))
+    if c is None:
         raise ValueError("direction lies in the base")
-    return _reduced_class_index(base, x)
+    return c
 
 
-def _reduced_class_index(base: CanonicalSubspace, x) -> int:
-    """Class of a nonzero x reduced against base, scaled to lead with 1."""
-    lead = x[leading_column(x)]
-    if lead != 1:
-        ctx = base.ctx
-        f, mul = ctx.inv(lead), ctx.mul
+def _closing_class(base: CanonicalSubspace, x, nonpiv):
+    """The class x picks modulo base, or None when x lies in base.
+
+    x is reduced against base and scaled to lead with 1; the class digits
+    are read off nonpiv, base's nonpivot columns, which the codec keeps as
+    it grows its bases.  base's rows may be longer than x if they are zero
+    past it.
+    """
+    x = reduce_vector(base, x)
+    lead = leading_column(x)
+    if lead == len(x):
+        return None
+    ctx = base.ctx
+    if x[lead] != 1:
+        f, mul = ctx.inv(x[lead]), ctx.mul
         x = [mul(f, c) for c in x]
-    return class_index(base, x)
+    return _class_digits(x, nonpiv, ctx.q)
 
 
 def block_class_order(base: CanonicalSubspace, succ, width: int):
@@ -256,9 +257,9 @@ def iter_simple(n: int, k: int, ctx: FieldContext):
 def _emit_block(base, succ, width, held):
     """Yield one block's extensions in order; hold back the very first."""
     ext = _append_zero_col(base)
-    nonpiv = _nonpivot_columns(base)
+    q, nonpiv = base.ctx.q, _nonpivot_columns(base)
     for c in block_class_order(base, succ, width):
-        item = extend_subspace(ext, _rep_vector(base, nonpiv, c))
+        item = extend_subspace(ext, _rep_vector(q, ext.n, nonpiv, c))
         if held is None:
             held = item      # C*_0 closes the cycle
         else:

@@ -15,9 +15,10 @@ int.from_bytes(bytes(row), "little"), so column c sits in bits 8c..8c+7,
 XOR is row addition and column c of x is x >> (c << 3) & 1.  A
 CanonicalSubspace keeps its rows packed in the `packed` slot, built on
 first use; tuples stay the form of every result and of the file format.
-Zero columns added or dropped on the right leave every packed int as it
-is, so a subspace derived by padding, stripping or adding one row passes
-the ints it shares with its source on unchanged.
+Zero columns added on the right leave every packed int as it is, so
+_append_zero_col and extend_subspace, which derive a subspace by padding
+or by adding one row, pass the ints it shares with its source on
+unchanged.  No other module reads or builds packed ints.
 """
 
 from __future__ import annotations
@@ -129,27 +130,31 @@ def tau(rows, n: int, ctx: FieldContext):
 
 
 def _tau(work, n, ctx):
-    k = len(work)
-    if k == 0:
-        return ()
-    if all(row[n - 1] == 0 for row in work):
-        inner = _tau([row[:-1] for row in work], n - 1, ctx)
-        return tuple(row + (0,) for row in inner)
+    """tau on the full-width rows of work, from column n-1 down.
+
+    In each column the last unplaced row nonzero there is scaled to end in
+    1, cleared from the other unplaced rows and placed; the rows keep their
+    order.  Unplaced rows are zero right of the current column, so no row
+    is ever cut or padded.
+    """
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    i = max(idx for idx, row in enumerate(work) if row[n - 1])
-    row = work[i]
-    f = inv(row[n - 1])
-    if f != 1:
-        row = [mul(f, x) for x in row]
-    for idx in range(k):
-        if idx != i and work[idx][n - 1]:
-            g = work[idx][n - 1]
-            work[idx] = [sub(x, mul(g, y)) for x, y in zip(work[idx], row)]
-    rest = [work[idx][:-1] for idx in range(k) if idx != i]
-    inner = _tau(rest, n - 1, ctx)
-    out = [r + (0,) for r in inner]
-    out.insert(i, tuple(row))
-    return tuple(out)
+    unplaced = list(range(len(work)))
+    for col in range(n - 1, -1, -1):
+        if not unplaced:
+            break
+        hit = [i for i in unplaced if work[i][col]]
+        if not hit:
+            continue
+        i = hit.pop()
+        row = work[i]
+        f = inv(row[col])
+        if f != 1:
+            row = work[i] = [mul(f, x) for x in row]
+        for j in hit:
+            g = work[j][col]
+            work[j] = [sub(x, mul(g, y)) for x, y in zip(work[j], row)]
+        unplaced.remove(i)
+    return tuple(map(tuple, work))
 
 
 def canonicalize(rows, n: int, ctx: FieldContext) -> CanonicalSubspace:
@@ -164,8 +169,7 @@ def trivial_subspace(n: int, ctx: FieldContext) -> CanonicalSubspace:
 
 def simple_subspace(n: int, k: int, ctx: FieldContext) -> CanonicalSubspace:
     """The subspace with canonical matrix [I_k | 0]."""
-    rows = tuple(tuple(1 if j == i else 0 for j in range(n))
-                 for i in range(k))
+    rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(k))
     return CanonicalSubspace(ctx, n, rows, tuple(range(k)))
 
 
@@ -219,7 +223,8 @@ def contains(a: CanonicalSubspace, v) -> bool:
 
 
 def _pack_row(row) -> int:
-    return int.from_bytes(bytes(row), "little")
+    # a bytearray is built from a row in about half the time of bytes
+    return int.from_bytes(bytearray(row), "little")
 
 
 def _packed_rows(a: CanonicalSubspace):
@@ -227,7 +232,7 @@ def _packed_rows(a: CanonicalSubspace):
     packed = a.packed
     if packed is None:
         # _pack_row inlined: this runs once per row of every packed item
-        packed = a.packed = tuple([int.from_bytes(bytes(r), "little")
+        packed = a.packed = tuple([int.from_bytes(bytearray(r), "little")
                                    for r in a.rows])
     return packed
 
@@ -296,6 +301,15 @@ def projective_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
     return hi.k - lo.k == 1 and stacked_rank(hi, lo) == hi.k
 
 
+def _append_zero_col(sub: CanonicalSubspace,
+                     count: int = 1) -> CanonicalSubspace:
+    """sub padded with count zero columns; packed rows carry over as is."""
+    pad = (0,) * count
+    return CanonicalSubspace(sub.ctx, sub.n + count,
+                             tuple(r + pad for r in sub.rows), sub.pivots,
+                             sub.packed)
+
+
 def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     """Canonical form of base + span(v) for v already reduced against base.
 
@@ -305,18 +319,20 @@ def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     lead = leading_column(v)
     if lead == len(v) or any(map(v.__getitem__, base.pivots)):
         raise ValueError("vector must be reduced against the base and nonzero")
-    trail = last_nonzero(v)
-    if v[trail] != 1:
-        ctx = base.ctx
-        f = ctx.inv(v[trail])
-        v = [ctx.mul(f, c) for c in v]
+    ctx = base.ctx
+    if ctx.q != 2:      # over GF(2) every nonzero entry is already 1
+        trail = last_nonzero(v)
+        if v[trail] != 1:
+            f = ctx.inv(v[trail])
+            v = [ctx.mul(f, c) for c in v]
+    v = tuple(v)
     pos = bisect_left(base.pivots, lead)
-    rows = base.rows[:pos] + (tuple(v),) + base.rows[pos:]
+    rows = base.rows[:pos] + (v,) + base.rows[pos:]
     pivots = base.pivots[:pos] + (lead,) + base.pivots[pos:]
     packed = base.packed
     if packed is not None:
         packed = packed[:pos] + (_pack_row(v),) + packed[pos:]
-    return CanonicalSubspace(base.ctx, base.n, rows, pivots, packed)
+    return CanonicalSubspace(ctx, base.n, rows, pivots, packed)
 
 
 def enumerate_subspaces(n: int, k: int, ctx: FieldContext):

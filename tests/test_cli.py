@@ -220,3 +220,19 @@ def test_gen_pipe_decode_order(capsys, tmp_path):
         code, out, _ = run(capsys, "decode", "--n", "3", "--k", "1",
                            "--q", "3", "--input", str(matrix))
         assert code == 0 and int(out.strip()) == m
+
+
+def test_matrices_wider_than_the_stack_limit(capsys, tmp_path):
+    # parsing a matrix and encoding through the dual both canonicalize
+    # 1100 columns
+    code, out, _ = run(capsys, "encode", "--n", "1100", "--k", "2",
+                       "--q", "2", "--index", "0")
+    assert code == 0
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(out)
+    code, out, _ = run(capsys, "decode", "--n", "1100", "--k", "2",
+                       "--q", "2", "--input", str(matrix))
+    assert code == 0 and out.strip() == "0"
+    code, out, _ = run(capsys, "encode", "--n", "1100", "--k", "1099",
+                       "--q", "2", "--index", "0", "--via-dual")
+    assert code == 0 and out.split()[:3] == ["1099", "1100", "2"]

@@ -4,10 +4,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grayspace import codec
+from grayspace import codec, grassmann_gray
 from grayspace.field import field_from_order, make_field
 from grayspace import linalg as L
-from grayspace.grassmann_gray import _append_zero_col
+from grayspace.linalg import _append_zero_col
 from grayspace.qcombin import gaussian
 
 F2 = make_field(2, 1)
@@ -64,6 +64,14 @@ def test_tau_preserves_span_and_pivots():
         t_red, t_piv = L.rref([list(r) for r in t], n, ctx)
         assert tuple(tuple(r) for r in t_red) == tuple(tuple(r) for r in red)
         assert t_piv == piv
+
+
+def test_canonicalize_wider_than_the_stack_limit():
+    # tau walks the columns in one loop, so its depth does not grow with n
+    n = 1100
+    simple = L.simple_subspace(n, 2, F2)
+    assert L.canonicalize(simple.rows, n, F2) == simple
+    assert L.canonicalize(simple.rows[::-1], n, F2) == simple
 
 
 def test_tau_rejects_non_rref():
@@ -326,38 +334,25 @@ def test_packed_rows_at_every_codec_level(data):
     k = data.draw(st.integers(1, min(n - 1, 16)))
     params = codec.CodecParams(n, k, F2)
     m = data.draw(st.integers(0, params.size - 1))
-    codec_encode = codec._encode
-    codec_extension_parts = codec._extension_parts
-    codec_closing_class = codec.closing_class_from_direction
-    levels = []
+    reduce_vector = grassmann_gray.reduce_vector
+    bases = []
 
-    def encode_checked(*args):
-        # every item _encode returns: the reference decode's successors
-        # and encode's own result
-        item, x = codec_encode(*args)
-        assert item.packed == _fresh_packing(item.rows)
-        return item, x
-
-    def extension_parts(*args):
-        v, base = codec_extension_parts(*args)
-        # the decoders pack the input once and hand every base its ints
-        assert base.packed == _fresh_packing(base.rows)
-        levels.append(base)
-        return v, base
-
-    def closing_class(base, x):
-        # the bases encode and decode_fast build level by level
-        assert base.packed == _fresh_packing(base.rows)
+    def reduce_checked(base, x):
+        # every base the codec reduces against: the ones encode and
+        # decode_fast grow level by level and the reference decode's
+        # stripped ones; packed ints appear on first use and carry over
         assert base.pivots == tuple(map(L.leading_column, base.rows))
-        return codec_closing_class(base, x)
+        assert base.packed in (None, _fresh_packing(base.rows))
+        out = reduce_vector(base, x)
+        assert out == _xor_reduce(base, x)
+        bases.append(base)
+        return out
 
-    with mock.patch.object(codec, "_encode", encode_checked), \
-            mock.patch.object(codec, "_extension_parts", extension_parts), \
-            mock.patch.object(codec, "closing_class_from_direction",
-                              closing_class):
+    with mock.patch.object(grassmann_gray, "reduce_vector", reduce_checked):
         W = codec.encode(params, m)
-        assert W.packed == _fresh_packing(W.rows)
         assert codec.decode_fast(params, W) == m
         assert codec.decode(params, W) == m
-    assert W.packed == _fresh_packing(W.rows)
-    assert levels or m == 0
+    assert W.packed in (None, _fresh_packing(W.rows))
+    # below an extension level of a k >= 2 item lies a base with a
+    # successor, so the reference decode reduces at least once
+    assert bases or m == 0 or k == 1
