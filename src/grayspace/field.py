@@ -8,6 +8,10 @@ whenever elements are serialized.
 
 A FieldContext performs arithmetic directly on indices (`ctx.add`, `ctx.mul`,
 ...); this is the fast path used by the matrix and Gray-code machinery.
+Prime fields compute modulo p.  An extension field keeps log/antilog tables
+to the base of its least primitive element g, built once in O(q): `mul`,
+`inv` and `neg` are lookups, and `add`/`sub` are XOR in characteristic 2
+and Zech-logarithm lookups (log(1 + g^d)) in odd characteristic.
 
 Extension fields can be built over any existing context (`extend_field`),
 which is how GF(q^n) is realized as a degree-n extension of GF(q): its
@@ -20,7 +24,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 MAX_FIELD_SIZE = 65536  # size cap for constructed fields
-_TABLE_LIMIT = 64  # full op tables are precomputed up to this field size
 
 
 def is_prime(n: int) -> bool:
@@ -158,6 +161,15 @@ def _first_irreducible(base, deg: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # impossible
 
 
+def _least_generator(q: int, power) -> int:
+    """Least index of multiplicative order q - 1, where power(a, e) = a^e."""
+    fac = prime_factors(q - 1)
+    for a in range(1, q):
+        if all(power(a, (q - 1) // r) != 1 for r in fac):
+            return a
+    raise AssertionError("no primitive element found")  # impossible
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -177,7 +189,6 @@ class FieldContext:
                  "add", "sub", "mul", "neg", "inv", "_prim")
 
     def __init__(self, p=None, base=None, degree=1, modulus=None):
-        self._prim = None
         if base is None:
             self.p = p
             self.q = p
@@ -190,6 +201,7 @@ class FieldContext:
             self.neg = lambda a: (-a) % p
             self.mul = lambda a, b: (a * b) % p
             self.inv = self._prime_inv
+            self._prim = _least_generator(p, lambda a, e: pow(a, e, p))
         else:
             self.base = base
             self.degree = degree
@@ -205,78 +217,63 @@ class FieldContext:
         return pow(a, self.p - 2, self.p)
 
     def _init_extension_ops(self):
+        """Log/antilog tables to the base of the least primitive element g.
+
+        exp holds g^0 .. g^(n-1) twice (n = q - 1) and then a zero tail.
+        log[0] is the sentinel 2n, so a sum of two logs lands in the tail
+        exactly when a factor is zero, and a log plus a Zech logarithm
+        exactly when the sum is zero.
+        """
         base, deg, q = self.base, self.degree, self.q
-        bq = base.q
-        modulus = list(self.modulus)
+        bq, n = base.q, q - 1
 
-        def to_poly(a):
-            return list(digits_of(a, bq, deg))
+        def power(a, e):
+            return undigits(_ppowmod(base, list(digits_of(a, bq, deg)), e,
+                                     self.modulus), bq)
 
-        def from_poly(pol):
-            out = 0
-            for i in range(deg - 1, -1, -1):
-                out = out * bq + (pol[i] if i < len(pol) else 0)
-            return out
+        g = self._prim = _least_generator(q, power)
+        step = _ptrim(list(digits_of(g, bq, deg)))
+        cycle, cur = [1] * n, [1]
+        for i in range(1, n):
+            cur = _pmod(base, _pmul(base, step, cur), self.modulus)
+            cycle[i] = undigits(cur, bq)
+        exp = cycle * 2 + [0] * (2 * n + 1)
+        log = [2 * n] * q
+        for i, a in enumerate(cycle):
+            log[a] = i
 
-        def gen_mul(a, b):
-            return from_poly(_pmod(base, _pmul(base, to_poly(a), to_poly(b)),
-                                   modulus))
+        def inv(a):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero in GF(%d)" % q)
+            return exp[n - log[a]]
 
+        self.mul = lambda a, b: exp[log[a] + log[b]]
+        self.inv = inv
         if self.p == 2:
-            self.add = lambda a, b: a ^ b
-            self.sub = lambda a, b: a ^ b
+            self.add = self.sub = lambda a, b: a ^ b
             self.neg = lambda a: a
-        else:
-            badd, bsub, bneg = base.add, base.sub, base.neg
+            return
+        # Zech logarithms: zech[d] = log(1 + g^d), doubled so that any
+        # difference of two logs (plus n/2 for a negation) indexes it.
+        # Adding 1 changes only the constant digit.
+        badd, half = base.add, n // 2
+        zech = [log[e - e % bq + badd(e % bq, 1)] for e in cycle] * 2
 
-            def gen_add(a, b):
-                return from_poly([badd(x, y)
-                                  for x, y in zip(to_poly(a), to_poly(b))])
+        def add(a, b):
+            if a and b:
+                la = log[a]
+                return exp[la + zech[log[b] - la]]
+            return a or b
 
-            def gen_sub(a, b):
-                return from_poly([bsub(x, y)
-                                  for x, y in zip(to_poly(a), to_poly(b))])
+        def sub(a, b):
+            if a and b:
+                la = log[a]
+                return exp[la + zech[log[b] + half - la]]
+            return a or exp[log[b] + half]
 
-            def gen_neg(a):
-                return from_poly([bneg(x) for x in to_poly(a)])
-
-            if q <= _TABLE_LIMIT:
-                add_t = [gen_add(a, b) for a in range(q) for b in range(q)]
-                neg_t = [gen_neg(a) for a in range(q)]
-                self.add = lambda a, b: add_t[a * q + b]
-                self.sub = lambda a, b: add_t[a * q + neg_t[b]]
-                self.neg = lambda a: neg_t[a]
-            else:
-                self.add = gen_add
-                self.sub = gen_sub
-                self.neg = gen_neg
-
-        if q <= _TABLE_LIMIT:
-            mul_t = [gen_mul(a, b) for a in range(q) for b in range(q)]
-            inv_t = [0] * q
-            for a in range(1, q):
-                for b in range(1, q):
-                    if mul_t[a * q + b] == 1:
-                        inv_t[a] = b
-                        break
-
-            def table_inv(a):
-                if a == 0:
-                    raise ZeroDivisionError(
-                        "inverse of zero in GF(%d)" % q)
-                return inv_t[a]
-
-            self.mul = lambda a, b: mul_t[a * q + b]
-            self.inv = table_inv
-        else:
-            def gen_inv(a):
-                if a == 0:
-                    raise ZeroDivisionError(
-                        "inverse of zero in GF(%d)" % q)
-                return self.pow(a, q - 2)
-
-            self.mul = gen_mul
-            self.inv = gen_inv
+        self.add = add
+        self.sub = sub
+        self.neg = lambda a: exp[log[a] + half]
 
     # -- generic helpers ----------------------------------------------------
 
@@ -302,13 +299,6 @@ class FieldContext:
 
     def primitive_index(self) -> int:
         """Index of the least element of multiplicative order q - 1."""
-        if self._prim is None:
-            t = self.q - 1
-            fac = prime_factors(t)
-            for i in range(1, self.q):
-                if all(self.pow(i, t // r) != 1 for r in fac):
-                    self._prim = i
-                    break
         return self._prim
 
     def name(self) -> str:
@@ -318,19 +308,28 @@ class FieldContext:
         return "FieldContext(GF(%s))" % self.name()
 
 
+def _check_size(base_q: int, degree: int) -> None:
+    """Reject degree < 1 and base_q ** degree > MAX_FIELD_SIZE without
+    building the power; callers run it before any trial division, so huge
+    orders fail at once."""
+    if degree < 1:
+        raise ValueError("extension degree must be >= 1")
+    if (degree * (base_q.bit_length() - 1) > MAX_FIELD_SIZE.bit_length()
+            or base_q ** degree > MAX_FIELD_SIZE):
+        size = base_q if degree == 1 else "%d^%d" % (base_q, degree)
+        raise ValueError("field size %s exceeds bound %d"
+                         % (size, MAX_FIELD_SIZE))
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int) -> FieldContext:
     """GF(p^m) with the lexicographically least irreducible monic modulus.
 
     Identical (p, m) always return the same (cached) context.
     """
+    _check_size(p, m)
     if not is_prime(p):
         raise ValueError("field characteristic %r is not prime" % (p,))
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
-    if p ** m > MAX_FIELD_SIZE:
-        raise ValueError("field size %d exceeds bound %d"
-                         % (p ** m, MAX_FIELD_SIZE))
     if m == 1:
         return FieldContext(p=p)
     base = make_field(p, 1)
@@ -345,11 +344,7 @@ def extend_field(ctx: FieldContext, degree: int) -> FieldContext:
     Elements correspond to length-n coordinate vectors over the base field
     (low coordinate = constant term of the polynomial basis).
     """
-    if degree < 1:
-        raise ValueError("extension degree must be >= 1")
-    if ctx.q ** degree > MAX_FIELD_SIZE:
-        raise ValueError("field size %d exceeds bound %d"
-                         % (ctx.q ** degree, MAX_FIELD_SIZE))
+    _check_size(ctx.q, degree)
     return FieldContext(base=ctx, degree=degree,
                         modulus=_first_irreducible(ctx, degree))
 
@@ -358,6 +353,7 @@ def field_from_order(q: int) -> FieldContext:
     """Field named by its size: q must be a prime power p^m."""
     if q < 2:
         raise ValueError("field order must be >= 2")
+    _check_size(q, 1)
     p = prime_factors(q)[0]
     m = 0
     t = q

@@ -36,6 +36,11 @@ def test_count_invalid_params(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "--n", "2", "--k", "1", "--q", "6")
     assert code == 2
+    # rejected by the size bound before any trial division
+    for q in ("1000000000000000003", "1000000000000000003^1"):
+        code, out, err = run(capsys, "count", "--n", "4", "--k", "2",
+                             "--q", q)
+        assert code == 2 and out == "" and "exceeds bound" in err
 
 
 def test_encode_decode_round_trip(capsys, tmp_path):
@@ -151,6 +156,9 @@ def test_verify_parse_failure(capsys, tmp_path):
     bad.write_text("garbage\n")
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 4
+    bad.write_text("GRAY 4 2 1000000000000000003 35 1\n")
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 4 and "exceeds bound" in err
 
 
 def test_proj_and_verify(capsys, tmp_path):

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
-from grayspace.field import (FieldContext, extend_field, field_from_order,
-                             make_field, parse_field_spec)
+from grayspace.field import (_pmod, _pmul, digits_of, extend_field,
+                             field_from_order, make_field, parse_field_spec,
+                             undigits)
 
 
 def check_field_axioms(ctx, trials=200, seed=7):
@@ -116,3 +118,74 @@ def test_coeffs_roundtrip():
     f27 = make_field(3, 3)
     for i in (0, 1, 5, 13, 26):
         assert f27.from_coeffs(f27.coeffs(i)) == i
+
+
+def test_huge_orders_fail_at_once():
+    # the size bound is checked before any trial division
+    for call in (lambda: field_from_order(1000000000000000003),
+                 lambda: parse_field_spec("1000000000000000003^1"),
+                 lambda: make_field(2, 10 ** 18),
+                 lambda: extend_field(make_field(2, 1), 10 ** 18)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds bound"):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+
+EXTENSION_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13)
+                    for m in range(2, 9) if p ** m <= 256]
+
+
+def polynomial_oracle(ctx):
+    """add, neg and mul of an extension field from polynomial arithmetic
+    over its base on digit vectors."""
+    base, deg, bq = ctx.base, ctx.degree, ctx.base.q
+
+    def vec(a):
+        return list(digits_of(a, bq, deg))
+
+    def add(a, b):
+        return undigits([base.add(x, y) for x, y in zip(vec(a), vec(b))], bq)
+
+    def neg(a):
+        return undigits([base.neg(x) for x in vec(a)], bq)
+
+    def mul(a, b):
+        return undigits(_pmod(base, _pmul(base, vec(a), vec(b)),
+                              ctx.modulus), bq)
+
+    return add, neg, mul
+
+
+def test_extension_ops_match_polynomial_oracle():
+    fields = [make_field(p, m) for p, m in EXTENSION_FIELDS]
+    fields += [extend_field(make_field(2, 2), 3),
+               extend_field(make_field(3, 1), 5)]
+    rng = random.Random(10)
+    for ctx in fields:
+        q = ctx.q
+        add, neg, mul = polynomial_oracle(ctx)
+        if q <= 64:
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+        for a, b in pairs:
+            assert ctx.add(a, b) == add(a, b)
+            assert ctx.sub(a, b) == add(a, neg(b))
+            assert ctx.mul(a, b) == mul(a, b)
+        for a in range(1, q):
+            assert ctx.neg(a) == neg(a)
+            assert mul(a, ctx.inv(a)) == 1
+        assert ctx.neg(0) == 0
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(0)
+
+        def order(a):
+            cur, k = a, 1
+            while cur != 1:
+                cur, k = mul(cur, a), k + 1
+            return k
+
+        # the least element of multiplicative order q - 1, by brute force
+        orders = [order(a) for a in range(1, ctx.primitive_index() + 1)]
+        assert orders[-1] == q - 1 and q - 1 not in orders[:-1]
