@@ -38,8 +38,8 @@ from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
                              closing_class_index, _class_digits,
                              _closing_class, _nonpivot_columns, _rep_vector)
-from .linalg import (CanonicalSubspace, extend_subspace, last_nonzero,
-                     leading_column, simple_subspace)
+from .linalg import (CanonicalSubspace, _check_entries, extend_subspace,
+                     last_nonzero, leading_column, simple_subspace)
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
 
 
@@ -301,10 +301,7 @@ def _check_input(params, W):
     rows = W.rows
     if any(length != W.n for length in map(len, rows)):
         raise ValueError("rows must have length %d" % W.n)
-    # the distinct entries, collected at C speed, are few
-    entries = set().union(*rows)
-    if entries and not (0 <= min(entries) and max(entries) < params.q):
-        raise ValueError("entries must lie in range(%d)" % params.q)
+    _check_entries(rows, params.q)
     last = -1
     for r in rows:
         lead = leading_column(r)

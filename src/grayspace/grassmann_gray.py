@@ -22,8 +22,8 @@ from .field import FieldContext, field_from_order
 from .linalg import (CanonicalSubspace, _append_zero_col, contains, dual,
                      extend_subspace, grassmann_adjacent, intersect,
                      is_simple, leading_column, pack_subspace,
-                     projective_adjacent, reduce_vector, simple_subspace,
-                     format_subspace, parse_subspace)
+                     projective_adjacent, reduce_vector, scale_vector,
+                     simple_subspace, format_subspace, parse_subspace)
 from .qcombin import gaussian
 
 
@@ -131,10 +131,8 @@ def class_representative(base: CanonicalSubspace, v):
     if len(v) != base.n + 1 or v[-1] == 0:
         raise ValueError("vector must leave the hyperplane")
     v = reduce_vector(base, v[:-1]) + [v[-1]]
-    f = ctx.inv(v[-1])
-    if f != 1:
-        mul = ctx.mul
-        v = [mul(f, x) for x in v]
+    if v[-1] != 1:
+        return scale_vector(ctx, v, ctx.inv(v[-1]))
     return tuple(v)
 
 
@@ -199,8 +197,7 @@ def _closing_class(base: CanonicalSubspace, x, nonpiv):
         return None
     ctx = base.ctx
     if x[lead] != 1:
-        f, mul = ctx.inv(x[lead]), ctx.mul
-        x = [mul(f, c) for c in x]
+        x = scale_vector(ctx, x, ctx.inv(x[lead]))
     return _class_digits(x, nonpiv, ctx.q)
 
 

@@ -9,11 +9,34 @@ subspace equality is defined as equality of canonical matrices.
 
 The 0 x n empty matrix is the canonical form of the trivial subspace.
 
-Over GF(2) the kernels reduce_vector (and so contains), stacked_rank and
-pack_subspace work on packed rows: one Python int per row,
-int.from_bytes(bytes(row), "little"), so column c sits in bits 8c..8c+7,
-XOR is row addition and column c of x is x >> (c << 3) & 1.  A
-CanonicalSubspace keeps its rows packed in the `packed` slot, built on
+Lane fields.  Over every field of characteristic 2 with q <= 256 and every
+prime field with p < 128 the kernels reduce_vector (and so contains) and
+stacked_rank, and the scaling of scale_vector and extend_subspace, work on
+packed rows: one Python int per row,
+int.from_bytes(bytearray(row), "little"), so column c is the byte lane
+at bits 8c..8c+7 and a row costs a few C-speed operations, not one field
+call per entry.
+- Scaling by f is bytes.translate with the 256-byte table e -> f*e, one
+  table per (field, f), built the first time f is used.
+- In characteristic 2, row addition is XOR.  GF(2) is the case where every
+  multiplier is 1, so its loops read no table.
+- In a prime field, rows add lane by lane and every lane that reached p
+  then loses p: x -= (((x + (128-p)*ONES) & (0x80*ONES)) >> 7) * p, with
+  ONES = 1 in every lane.  This holds as long as every lane stays below p
+  between additions: two residues below p sum to at most 2p - 2 <= 252,
+  so adding 128 - p sets bit 7 exactly when the sum reached p and no lane
+  carries into its neighbour.
+An entry outside range(q) would spill into the next lane, so contains,
+canonicalize and parse_subspace reject such entries (_check_entries).
+
+Every other field takes the tuple path, one field call per entry: the odd
+extension fields (q = 9, 25, 27, ..., 243), whose addition works digit by
+digit, not lane by lane; the primes 131..251, whose sums overflow a byte;
+and every q > 256.  rref and tau stay on tuples for every q, and
+pack_subspace packs over GF(2) only: its callers key small subspaces fresh
+from canonicalize, and packing their rows costs more than the tuple key.
+
+A CanonicalSubspace keeps its packed rows in the `packed` slot, built on
 first use; tuples stay the form of every result and of the file format.
 Zero columns added on the right leave every packed int as it is, so
 _append_zero_col and extend_subspace, which derive a subspace by padding
@@ -40,7 +63,7 @@ class CanonicalSubspace:
         self.rows = rows
         self.pivots = pivots
         self.k = len(rows)
-        self.packed = packed    # GF(2): rows as ints, None until built
+        self.packed = packed    # lane fields: rows as ints, None until built
 
     def __eq__(self, other):
         return (isinstance(other, CanonicalSubspace)
@@ -54,6 +77,51 @@ class CanonicalSubspace:
     def __repr__(self):
         return "CanonicalSubspace(k=%d, n=%d, q=%d, rows=%r)" % (
             self.k, self.n, self.ctx.q, self.rows)
+
+
+class _Lanes(dict):
+    """Byte-lane arithmetic of one lane field (see the module docstring).
+
+    self[f] is the translate table e -> f*e, built the first time f is
+    used; p is the characteristic and neg_inv[a] = -1/a (0 for a = 0).
+    """
+
+    __slots__ = ("ctx", "p", "neg_inv")
+
+    def __init__(self, ctx: FieldContext):
+        super().__init__()
+        self.ctx, self.p = ctx, ctx.p
+        self.neg_inv = bytes([0] + [ctx.neg(ctx.inv(a))
+                                    for a in range(1, ctx.q)])
+
+    def __missing__(self, f):
+        mul, q = self.ctx.mul, self.ctx.q
+        table = self[f] = bytes([mul(f, e) for e in range(q)]) + bytes(256 - q)
+        return table
+
+
+_LANES = {}     # field context -> its _Lanes, or None for a tuple field
+
+
+def _lanes(ctx: FieldContext):
+    """ctx's _Lanes, built once per field; None for a tuple field."""
+    try:
+        return _LANES[ctx]
+    except KeyError:
+        lanes = _LANES[ctx] = (
+            _Lanes(ctx) if ctx.q <= 256
+            and (ctx.p == 2 or ctx.m == 1 and ctx.p < 128) else None)
+        return lanes
+
+
+def _check_entries(rows, q: int):
+    """ValueError unless every entry of rows lies in range(q).
+
+    The distinct entries, collected at C speed, are few.
+    """
+    entries = set().union(*rows)
+    if entries and not (0 <= min(entries) and max(entries) < q):
+        raise ValueError("entries must lie in range(%d)" % q)
 
 
 def rref(rows, n: int, ctx: FieldContext):
@@ -158,7 +226,12 @@ def _tau(work, n, ctx):
 
 
 def canonicalize(rows, n: int, ctx: FieldContext) -> CanonicalSubspace:
-    """Canonical subspace spanned by arbitrary row vectors (rank deduced)."""
+    """Canonical subspace spanned by arbitrary row vectors (rank deduced).
+
+    Entries outside range(q) raise ValueError.
+    """
+    rows = list(rows)
+    _check_entries(rows, ctx.q)
     reduced, pivots = rref(rows, n, ctx)
     return CanonicalSubspace(ctx, n, tau(reduced, n, ctx), pivots)
 
@@ -218,6 +291,7 @@ def contains(a: CanonicalSubspace, v) -> bool:
     if len(v) != a.n:
         raise ValueError("vector length %d does not match ambient %d"
                          % (len(v), a.n))
+    _check_entries((v,), a.ctx.q)
     r = reduce_vector(a, v)
     return not any(r)
 
@@ -228,7 +302,7 @@ def _pack_row(row) -> int:
 
 
 def _packed_rows(a: CanonicalSubspace):
-    """a.packed, built on first use; GF(2) only."""
+    """a.packed, built on first use; lane fields only."""
     packed = a.packed
     if packed is None:
         # _pack_row inlined: this runs once per row of every packed item
@@ -237,14 +311,47 @@ def _packed_rows(a: CanonicalSubspace):
     return packed
 
 
+def _eliminate(x, rows, pivots, lanes: _Lanes, width: int) -> int:
+    """x minus the multiples of rows that clear x on their pivot lanes.
+
+    rows are packed echelon rows of at most width lanes, each nonzero on
+    its pivot; the multiplier of a row is -e/lead, e being x's entry and
+    lead the row's entry on the pivot.
+    """
+    neg_inv, p = lanes.neg_inv, lanes.p
+    ones = (1 << (width << 3)) // 255           # 1 in each of width lanes
+    low, high = (128 - p) * ones, ones << 7
+    for row, c in zip(rows, pivots):
+        s = c << 3
+        e = x >> s & 255
+        if e:
+            f = lanes[neg_inv[row >> s & 255]][e]
+            if f != 1:
+                row = int.from_bytes(row.to_bytes(width, "little")
+                                     .translate(lanes[f]), "little")
+            if p == 2:
+                x ^= row
+            else:
+                x += row
+                x -= ((x + low & high) >> 7) * p
+    return x
+
+
 def reduce_vector(a: CanonicalSubspace, v):
-    """Eliminate v against the echelon rows; zero iff v is in the span."""
+    """Eliminate v against the echelon rows; zero iff v is in the span.
+
+    a's rows may be longer than v if they are zero past it.
+    """
     ctx = a.ctx
     if ctx.q == 2:
         x = _pack_row(v)
         for row, p in zip(_packed_rows(a), a.pivots):
             if x >> (p << 3) & 1:
                 x ^= row
+        return list(x.to_bytes(len(v), "little"))
+    lanes = _lanes(ctx)
+    if lanes is not None:
+        x = _eliminate(_pack_row(v), _packed_rows(a), a.pivots, lanes, a.n)
         return list(x.to_bytes(len(v), "little"))
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
     v = list(v)
@@ -271,6 +378,17 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
             if x:
                 basis.append((x, (x & -x).bit_length() - 1))
         return len(basis)
+    lanes = _lanes(ctx)
+    if lanes is not None:
+        # A's rows, then B's rows independent of them, each pivoted on its
+        # lowest nonzero lane
+        rows, pivots = list(_packed_rows(a)), list(a.pivots)
+        for x in _packed_rows(b):
+            x = _eliminate(x, rows, pivots, lanes, a.n)
+            if x:
+                rows.append(x)
+                pivots.append((x & -x).bit_length() - 1 >> 3)
+        return len(rows)
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
     extra = []          # rows independent of A, kept in echelon form
     extra_piv = []
@@ -301,6 +419,15 @@ def projective_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
     return hi.k - lo.k == 1 and stacked_rank(hi, lo) == hi.k
 
 
+def scale_vector(ctx: FieldContext, v, f: int):
+    """f times the vector v, as a tuple: one translate over a lane field."""
+    lanes = _lanes(ctx)
+    if lanes is not None:
+        return tuple(bytes(v).translate(lanes[f]))
+    mul = ctx.mul
+    return tuple([mul(f, x) for x in v])
+
+
 def _append_zero_col(sub: CanonicalSubspace,
                      count: int = 1) -> CanonicalSubspace:
     """sub padded with count zero columns; packed rows carry over as is."""
@@ -323,8 +450,7 @@ def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     if ctx.q != 2:      # over GF(2) every nonzero entry is already 1
         trail = last_nonzero(v)
         if v[trail] != 1:
-            f = ctx.inv(v[trail])
-            v = [ctx.mul(f, c) for c in v]
+            v = scale_vector(ctx, v, ctx.inv(v[trail]))
     v = tuple(v)
     pos = bisect_left(base.pivots, lead)
     rows = base.rows[:pos] + (v,) + base.rows[pos:]
@@ -447,11 +573,11 @@ def parse_subspace(text: str, ctx: FieldContext | None = None):
         raise ValueError("expected %d rows, got %d" % (k, len(lines) - 1))
     rows = []
     for ln in lines[1:]:
-        row = tuple(int(x) for x in ln.split())
-        if len(row) != n or any(not 0 <= x < q for x in row):
+        row = tuple(map(int, ln.split()))
+        if len(row) != n:
             raise ValueError("bad subspace row %r" % (ln,))
         rows.append(row)
-    sub = canonicalize(rows, n, ctx)
+    sub = canonicalize(rows, n, ctx)    # rejects entries outside range(q)
     if sub.k != k:
         raise ValueError("stated dimension %d but rank is %d" % (k, sub.k))
     return sub, sub.rows == tuple(rows)

@@ -273,6 +273,21 @@ def test_via_dual():
 CODEC_FIELDS = [field_from_order(q) for q in (2, 3, 4, 8)]
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(st.data())
+def test_via_dual_round_trip_property(data):
+    # 2k > n, so every draw takes the dual path: encode at (n, n-k), dual,
+    # and back through dual and decode_fast
+    n = data.draw(st.integers(2, 96))
+    k = data.draw(st.integers(n // 2 + 1, n))
+    for ctx in CODEC_FIELDS:
+        params = CodecParams(n, k, ctx)
+        m = data.draw(st.integers(0, params.size - 1))
+        W = encode_via_dual(params, m)
+        assert W.k == k and W == L.canonicalize(W.rows, n, ctx)
+        assert decode_via_dual(params, W) == m
+
+
 @st.composite
 def codec_cases(draw):
     ctx = draw(st.sampled_from(CODEC_FIELDS))

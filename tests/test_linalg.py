@@ -242,97 +242,127 @@ def test_pack_subspace_injective():
             seen[key] = sub
 
 
-# -- GF(2) packed-row kernels against tuple-row oracles ----------------------
-# Vectors are drawn as ints with column c in bit c, a layout of the tests'
-# own; the library packs column c into bits 8c..8c+7.
+# -- lane kernels against tuple-row oracles ----------------------------------
+# The oracles below use only ctx.mul, ctx.sub and ctx.inv on tuple rows and
+# canonicalize, whose rref never packs.  The fields cover every lane kind
+# (GF(2), characteristic 2 up to 256, primes up to 127, the largest whose
+# lane sums fit a byte) and every tuple kind (odd extension fields, the
+# first prime above 128).
 
-GF2_SETTINGS = settings(derandomize=True, database=None, deadline=None,
-                        max_examples=150)
-
-
-def _bits(x, n):
-    return tuple(x >> c & 1 for c in range(n))
+KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=250)
+LANE_QS = (2, 3, 4, 5, 7, 8, 16, 127, 128, 256)
+TUPLE_QS = (9, 27, 131)
+KERNEL_FIELDS = [field_from_order(q) for q in sorted(LANE_QS + TUPLE_QS)]
 
 
 def _fresh_packing(rows):
     return tuple(int.from_bytes(bytes(r), "little") for r in rows)
 
 
-def _xor_reduce(a, v):
+def _packing_of(sub):
+    """What sub.packed must hold once built: the rows packed one byte per
+    entry over a lane field, nothing over a tuple field."""
+    return _fresh_packing(sub.rows) if sub.ctx.q in LANE_QS else None
+
+
+def _tuple_reduce(a, v):
+    ctx = a.ctx
     v = list(v)
     for row, p in zip(a.rows, a.pivots):
         if v[p]:
-            v = [x ^ y for x, y in zip(v, row)]
+            f = ctx.mul(v[p], ctx.inv(row[p]))
+            v = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(v, row)]
     return v
 
 
 @st.composite
-def gf2_cases(draw):
-    """(a, b, v, same) over GF(2)^n, n <= 64.
+def kernel_cases(draw):
+    """(a, b, v, same) over GF(q)^n, n <= 256.
 
-    b and v mix vectors of a's span with random ones, so overlapping
-    subspaces and members of a both occur; same is a from a reversed,
-    padded basis.
+    Entries are drawn from a seeded generator: uniform, all q-1 (over a
+    prime field the lane sum 2p-2 that carries most) or sparse.  b and v
+    mix vectors of a's span with random ones, so overlapping subspaces
+    and members of a both occur; same is a from a reversed, padded basis.
     """
-    n = draw(st.integers(1, 64))
-    span = [draw(st.integers(0, 2 ** n - 1))
-            for _ in range(draw(st.integers(0, min(n, 6))))]
+    # the seeded generator picks the field too: a derandomized
+    # sampled_from skips some of the thirteen
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ctx = rng.choice(KERNEL_FIELDS)
+    q, top = ctx.q, ctx.q - 1
+    n = draw(st.integers(1, 256))
+
+    def fresh():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return [top] * n
+        if kind == 1:
+            return [top if rng.random() < 0.2 else 0 for _ in range(n)]
+        return [rng.randrange(q) for _ in range(n)]
+
+    span = [fresh() for _ in range(draw(st.integers(1, min(n, 6))))]
 
     def mixed():
-        x = draw(st.integers(0, 2 ** n - 1)) if draw(st.booleans()) else 0
+        x = fresh() if draw(st.booleans()) else [0] * n
         for r in span:
-            if draw(st.booleans()):
-                x ^= r
-        return x
+            f = rng.choice((0, 1, top, rng.randrange(q)))
+            x = [ctx.add(e, ctx.mul(f, y)) for e, y in zip(x, r)]
+        return tuple(x)
 
-    a = L.canonicalize([_bits(x, n) for x in span], n, F2)
-    b = L.canonicalize([_bits(mixed(), n)
+    a = L.canonicalize(span, n, ctx)
+    b = L.canonicalize([mixed()
                         for _ in range(draw(st.integers(0, min(n, 6))))],
-                       n, F2)
-    v = _bits(mixed(), n)
-    same = L.canonicalize([_bits(x, n) for x in span[::-1]]
-                          + [_bits(0, n)], n, F2)
-    return a, b, v, same
+                       n, ctx)
+    same = L.canonicalize(span[::-1] + [[0] * n], n, ctx)
+    return a, b, mixed(), same
 
 
-@GF2_SETTINGS
-@given(gf2_cases())
-def test_gf2_kernels_match_oracles(case):
+@KERNEL_SETTINGS
+@given(kernel_cases())
+def test_lane_kernels_match_oracles(case):
     a, b, v, same = case
-    n = a.n
-    assert L.stacked_rank(a, b) == L.canonicalize(a.rows + b.rows, n, F2).k
+    ctx, n = a.ctx, a.n
+    assert L.stacked_rank(a, b) == L.canonicalize(a.rows + b.rows, n, ctx).k
     assert L.stacked_rank(b, a) == L.stacked_rank(a, b)
-    assert L.contains(a, v) == (L.canonicalize(a.rows + (v,), n, F2).k
+    assert L.contains(a, v) == (L.canonicalize(a.rows + (v,), n, ctx).k
                                 == a.k)
-    assert L.reduce_vector(a, v) == _xor_reduce(a, v)
+    assert L.reduce_vector(a, v) == _tuple_reduce(a, v)
+    for f in {1, ctx.q - 1, v[0]}:
+        assert L.scale_vector(ctx, v, f) == tuple(ctx.mul(f, x) for x in v)
     assert (L.pack_subspace(a) == L.pack_subspace(b)) == (a == b)
     assert same == a and L.pack_subspace(same) == L.pack_subspace(a)
 
 
-@GF2_SETTINGS
-@given(gf2_cases())
+@KERNEL_SETTINGS
+@given(kernel_cases())
 def test_packed_rows_carry_through_derived_subspaces(case):
     a, _, v, _ = case
-    # nothing packs until a GF(2) kernel needs it, and derived subspaces
+    ctx = a.ctx
+    # nothing packs until a lane kernel needs it, and derived subspaces
     # of an unpacked one stay unpacked
     assert a.packed is None and _append_zero_col(a, 2).packed is None
     L.contains(a, v)
-    assert a.packed == _fresh_packing(a.rows)
+    assert a.packed == _packing_of(a)
     padded = _append_zero_col(a, 3)
-    assert padded.packed == _fresh_packing(padded.rows)
+    assert padded.packed == _packing_of(padded)
     x = L.reduce_vector(a, v)
     if any(x):
         ext = L.extend_subspace(a, x)
-        assert ext.packed == _fresh_packing(ext.rows)
+        assert ext.packed == _packing_of(ext)
+        trail = L.last_nonzero(x)
+        f = ctx.inv(x[trail])
+        assert tuple(ctx.mul(f, e) for e in x) in ext.rows
         assert L.stacked_rank(ext, ext) == a.k + 1
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(st.data())
 def test_packed_rows_at_every_codec_level(data):
+    ctx = random.Random(data.draw(st.integers(0, 2 ** 32))).choice(
+        KERNEL_FIELDS)
     n = data.draw(st.integers(2, 64))
-    k = data.draw(st.integers(1, min(n - 1, 16)))
-    params = codec.CodecParams(n, k, F2)
+    k = data.draw(st.integers(1, min(n - 1, 16 if ctx.q == 2 else 6)))
+    params = codec.CodecParams(n, k, ctx)
     m = data.draw(st.integers(0, params.size - 1))
     reduce_vector = grassmann_gray.reduce_vector
     bases = []
@@ -342,9 +372,9 @@ def test_packed_rows_at_every_codec_level(data):
         # decode_fast grow level by level and the reference decode's
         # stripped ones; packed ints appear on first use and carry over
         assert base.pivots == tuple(map(L.leading_column, base.rows))
-        assert base.packed in (None, _fresh_packing(base.rows))
+        assert base.packed in (None, _packing_of(base))
         out = reduce_vector(base, x)
-        assert out == _xor_reduce(base, x)
+        assert out == _tuple_reduce(base, x)
         bases.append(base)
         return out
 
@@ -352,7 +382,26 @@ def test_packed_rows_at_every_codec_level(data):
         W = codec.encode(params, m)
         assert codec.decode_fast(params, W) == m
         assert codec.decode(params, W) == m
-    assert W.packed in (None, _fresh_packing(W.rows))
+    assert W.packed in (None, _packing_of(W))
     # below an extension level of a k >= 2 item lies a base with a
     # successor, so the reference decode reduces at least once
     assert bases or m == 0 or k == 1
+
+
+def test_entries_outside_the_field_are_rejected():
+    # a lane kernel would let such an entry spill into the next column
+    F4 = field_from_order(4)
+    b = L.canonicalize([(1, 0, 2)], 3, F3)
+    b4 = L.canonicalize([(1, 0, 2)], 3, F4)
+    cases = [(lambda: L.contains(b, (4, 0, 2)), 3),
+             (lambda: L.contains(b4, (5, 0, 2)), 4),
+             (lambda: L.contains(b, (1, 0, -1)), 3),
+             (lambda: L.canonicalize([(1, 0, -1)], 3, F3), 3),
+             (lambda: L.canonicalize([(4, 0, 2)], 3, F3), 3),
+             (lambda: L.canonicalize([(1, 0), (0, 256)], 2, F2), 2),
+             (lambda: L.parse_subspace("1 3 3\n1 0 3\n", F3), 3),
+             (lambda: L.parse_subspace("1 3 4\n1 0 -1\n"), 4)]
+    for call, q in cases:
+        with pytest.raises(ValueError, match=r"range\(%d\)" % q):
+            call()
+    assert L.contains(b, (2, 0, 1)) and not L.contains(b, (1, 0, 0))

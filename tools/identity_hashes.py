@@ -7,9 +7,9 @@ each a label and the first 16 hex digits of a sha256:
   grid      encode, decode, decode_fast, encode_via_dual and decode_via_dual
             for every index of the acceptance suite's criterion-3 grid
             ([n k]_q <= 10^4 for q in 2,3,4,5,8 and n <= 12);
-  large     indices 0, 1, 2, P-2, P-1 and five seeded ones at nine large
-            parameter sets (q up to 128): encode, decode_fast and the
-            reference decode;
+  large     indices 0, 1, 2, P-2, P-1 and five seeded ones at fifteen
+            larger parameter sets (q up to 256): encode, decode_fast and
+            the reference decode;
   files     the bytes of `grayspace gen`, `gen --seed` and `proj` files,
             `proj` over GF(2), GF(3) and GF(4) (GF(64) built on GF(4));
   verify    exit code, stdout and stderr of `grayspace verify` on those
@@ -38,8 +38,13 @@ from grayspace.codec import (CodecParams, decode, decode_fast,  # noqa: E402
 from grayspace.field import field_from_order  # noqa: E402
 from grayspace.qcombin import gaussian  # noqa: E402
 
+# the last six reach the boundaries of linalg's lane fields: primes 5, 7
+# and 127 (the largest that packs), 131 (the first prime on tuples), an
+# odd extension field and GF(256)
 LARGE = [(256, 4, 2), (64, 16, 2), (256, 4, 3), (128, 4, 8), (40, 30, 3),
-         (128, 32, 2), (256, 64, 2), (64, 4, 9), (32, 3, 128)]
+         (128, 32, 2), (256, 64, 2), (64, 4, 9), (32, 3, 128),
+         (48, 6, 5), (40, 5, 7), (24, 3, 127), (24, 3, 131), (24, 4, 27),
+         (20, 3, 256)]
 GEN = [(4, 2, 2), (5, 2, 3), (6, 3, 2), (7, 3, 2), (3, 1, 4)]
 SEEDS = (0, 1, 2)
 PROJ = [(n, q) for n in (1, 3, 5) for q in (2, 3)] + [(3, 4)]
