@@ -19,9 +19,9 @@ import re
 from dataclasses import dataclass, field as dfield
 
 from .field import FieldContext, field_from_order
-from .linalg import (CanonicalSubspace, _append_zero_col, contains, dual,
-                     extend_subspace, grassmann_adjacent, intersect,
-                     is_simple, leading_column, pack_subspace,
+from .linalg import (CanonicalSubspace, _append_zero_col, _check_entries,
+                     contains, dual, extend_subspace, grassmann_adjacent,
+                     intersect, is_simple, leading_column, pack_subspace,
                      projective_adjacent, reduce_vector, scale_vector,
                      simple_subspace, format_subspace, parse_subspace)
 from .qcombin import gaussian
@@ -125,11 +125,12 @@ def class_representative(base: CanonicalSubspace, v):
 
     v has length base.n + 1 and nonzero last coordinate; the representative
     is the unique class member that vanishes on base's pivot columns and has
-    final coordinate 1.
+    final coordinate 1.  Entries outside range(q) raise ValueError.
     """
     ctx = base.ctx
     if len(v) != base.n + 1 or v[-1] == 0:
         raise ValueError("vector must leave the hyperplane")
+    _check_entries((v,), ctx.q)
     v = reduce_vector(base, v[:-1]) + [v[-1]]
     if v[-1] != 1:
         return scale_vector(ctx, v, ctx.inv(v[-1]))
@@ -175,8 +176,10 @@ def closing_class_from_direction(base: CanonicalSubspace, x) -> int:
     x must lie outside base.  (base + succ) / base is one-dimensional, so
     every such x reduces against base to a multiple of one vector, and the
     normalized remainder is the one closing_class_index finds by reducing
-    the successor's rows one at a time.
+    the successor's rows one at a time.  Entries outside range(q) raise
+    ValueError.
     """
+    _check_entries((x,), base.ctx.q)
     c = _closing_class(base, x, _nonpivot_columns(base))
     if c is None:
         raise ValueError("direction lies in the base")

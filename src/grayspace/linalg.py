@@ -47,6 +47,7 @@ unchanged.  No other module reads or builds packed ints.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import combinations, compress, count, product
 
 from .field import FieldContext
@@ -100,18 +101,12 @@ class _Lanes(dict):
         return table
 
 
-_LANES = {}     # field context -> its _Lanes, or None for a tuple field
-
-
+@lru_cache(maxsize=None)
 def _lanes(ctx: FieldContext):
     """ctx's _Lanes, built once per field; None for a tuple field."""
-    try:
-        return _LANES[ctx]
-    except KeyError:
-        lanes = _LANES[ctx] = (
-            _Lanes(ctx) if ctx.q <= 256
-            and (ctx.p == 2 or ctx.m == 1 and ctx.p < 128) else None)
-        return lanes
+    if ctx.q <= 256 and (ctx.p == 2 or ctx.m == 1 and ctx.p < 128):
+        return _Lanes(ctx)
+    return None
 
 
 def _check_entries(rows, q: int):
@@ -344,6 +339,8 @@ def reduce_vector(a: CanonicalSubspace, v):
     """
     ctx = a.ctx
     if ctx.q == 2:
+        # every multiplier is 1: this loop reads no table and is faster
+        # than _eliminate on the codec's GF(2) reductions
         x = _pack_row(v)
         for row, p in zip(_packed_rows(a), a.pivots):
             if x >> (p << 3) & 1:
@@ -368,8 +365,9 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
     _check_ambient(a, b)
     ctx = a.ctx
     if ctx.q == 2:
-        # (row, pivot bit): A's rows, then B's rows independent of them,
-        # each pivoted on its lowest set bit
+        # as in reduce_vector, no table: (row, pivot bit) for A's rows,
+        # then B's rows independent of them, each pivoted on its lowest
+        # set bit
         basis = [(row, p << 3) for row, p in zip(_packed_rows(a), a.pivots)]
         for x in _packed_rows(b):
             for row, bit in basis:
