@@ -298,12 +298,9 @@ def _check_input(params, W):
                          "(%d, %d)" % (W.n, W.k, params.n, params.k))
     if W.ctx is not params.ctx:
         raise ValueError("field mismatch")
-    rows = W.rows
-    if any(length != W.n for length in map(len, rows)):
-        raise ValueError("rows must have length %d" % W.n)
-    _check_entries(rows, params.q)
+    _check_entries(W.rows, params.q, W.n)
     last = -1
-    for r in rows:
+    for r in W.rows:
         lead = leading_column(r)
         if not last < lead < len(r):
             raise ValueError("rows are not a row echelon basis of rank %d"

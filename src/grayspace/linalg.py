@@ -10,9 +10,10 @@ subspace equality is defined as equality of canonical matrices.
 The 0 x n empty matrix is the canonical form of the trivial subspace.
 
 Lane fields.  Over every field of characteristic 2 with q <= 256 and every
-prime field with p < 128 the kernels reduce_vector (and so contains) and
-stacked_rank, and the scaling of scale_vector and extend_subspace, work on
-packed rows: one Python int per row,
+prime field with p < 128 the kernels rref and tau (and so canonicalize,
+dual, subspace_sum, intersect and parse_subspace), reduce_vector (and so
+contains) and stacked_rank, and the scaling of scale_vector and
+extend_subspace, work on packed rows: one Python int per row,
 int.from_bytes(bytearray(row), "little"), so column c is the byte lane
 at bits 8c..8c+7 and a row costs a few C-speed operations, not one field
 call per entry.
@@ -26,18 +27,23 @@ call per entry.
   between additions: two residues below p sum to at most 2p - 2 <= 252,
   so adding 128 - p sets bit 7 exactly when the sum reached p and no lane
   carries into its neighbour.
-An entry outside range(q) would spill into the next lane, so contains,
-canonicalize and parse_subspace reject such entries (_check_entries).
+- rref and tau go row by row, not column by column: x & -x gives a row's
+  lowest nonzero lane and x.bit_length() its top one, so neither scans
+  empty columns.
+An entry outside range(q) would spill into the next lane, and a row
+longer than n past it, so rref, contains, canonicalize and parse_subspace
+reject both (_check_entries).
 
-Every other field takes the tuple path, one field call per entry: the odd
-extension fields (q = 9, 25, 27, ..., 243), whose addition works digit by
-digit, not lane by lane; the primes 131..251, whose sums overflow a byte;
-and every q > 256.  rref and tau stay on tuples for every q, and
-pack_subspace packs over GF(2) only: its callers key small subspaces fresh
-from canonicalize, and packing their rows costs more than the tuple key.
+Every other field takes the tuple path, one field call per entry and a
+column loop in rref and tau: the odd extension fields (q = 9, 25, 27, ...,
+243), whose addition works digit by digit, not lane by lane; the primes
+131..251, whose sums overflow a byte; and every q > 256.  pack_subspace
+packs over GF(2) only: over GF(3) a lane key was no faster than the tuple
+key on `proj --n 5 --q 3` and its verify, even with the rows packed.
 
-A CanonicalSubspace keeps its packed rows in the `packed` slot, built on
-first use; tuples stay the form of every result and of the file format.
+A CanonicalSubspace keeps its packed rows in the `packed` slot: filled by
+canonicalize, dual and enumerate_subspaces, else built on first use; tuples
+stay the form of every result and of the file format.
 Zero columns added on the right leave every packed int as it is, so
 _append_zero_col and extend_subspace, which derive a subspace by padding
 or by adding one row, pass the ints it shares with its source on
@@ -50,7 +56,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, compress, count, product
 
-from .field import FieldContext
+from .field import FieldContext, field_from_order
 
 
 class CanonicalSubspace:
@@ -109,22 +115,43 @@ def _lanes(ctx: FieldContext):
     return None
 
 
-def _check_entries(rows, q: int):
-    """ValueError unless every entry of rows lies in range(q).
+def _check_entries(rows, q: int, n: int | None = None):
+    """ValueError unless every entry of rows lies in range(q) and, if n is
+    given, every row has length n.
 
     The distinct entries, collected at C speed, are few.
     """
+    if n is not None and rows and set(map(len, rows)) != {n}:
+        raise ValueError("rows must have length %d" % n)
     entries = set().union(*rows)
     if entries and not (0 <= min(entries) and max(entries) < q):
         raise ValueError("entries must lie in range(%d)" % q)
+
+
+def _unpack(packed, n: int):
+    return tuple([tuple(x.to_bytes(n, "little")) for x in packed])
 
 
 def rref(rows, n: int, ctx: FieldContext):
     """Reduced row echelon form of the row span.
 
     Returns (rows, pivots); zero rows are dropped, leading coefficients are
-    1 and are the only nonzero entries in their columns.
+    1 and are the only nonzero entries in their columns.  Rows must have
+    length n and entries in range(q) (ValueError).
     """
+    rows = list(rows)
+    _check_entries(rows, ctx.q, n)
+    lanes = _lanes(ctx)
+    reduced, pivots = _rref(rows, n, ctx, lanes)
+    if lanes is not None:
+        reduced = list(_unpack(reduced, n))
+    return reduced, pivots
+
+
+def _rref(rows, n, ctx, lanes):
+    """rref of checked rows: packed rows over a lane field, else tuples."""
+    if lanes is not None:
+        return _rref_lanes(map(_pack_row, rows), n, lanes)
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
     work = [list(r) for r in rows]
     pivots = []
@@ -189,7 +216,7 @@ def tau(rows, n: int, ctx: FieldContext):
     """
     if not is_rref(rows, n, ctx):
         raise ValueError("tau requires a full-rank reduced row echelon input")
-    return _tau(list(map(list, rows)), n, ctx)
+    return _tau(list(rows), n, ctx)
 
 
 def _tau(work, n, ctx):
@@ -220,15 +247,76 @@ def _tau(work, n, ctx):
     return tuple(map(tuple, work))
 
 
+def _rref_lanes(rows, n: int, lanes: _Lanes):
+    """rref of packed rows, one row at a time: (rows, pivots).
+
+    A row is cleared on its lowest nonzero lane by the basis row pivoted
+    there, as long as there is one, and then scaled to lead with 1 and
+    kept as the basis row of that lane.  Last, every row from the
+    second-to-last up is cleared on the pivots below it.
+    """
+    inv, gf2 = lanes.ctx.inv, lanes.ctx.q == 2
+    basis = {}              # bit of the pivot lane -> row
+    for x in rows:
+        while x:
+            s = (x & -x).bit_length() - 1 & -8
+            row = basis.get(s)
+            if row is None:
+                if x >> s & 255 != 1:
+                    x = _scale_row(x, lanes[inv(x >> s & 255)], n)
+                basis[s] = x
+                break
+            x = x ^ row if gf2 else _eliminate(x, (row,), (s >> 3,), lanes, n)
+    pivots = [s >> 3 for s in sorted(basis)]
+    out = [basis[c << 3] for c in pivots]
+    for i in range(len(out) - 2, -1, -1):
+        out[i] = _eliminate(out[i], out[i + 1:], pivots[i + 1:], lanes, n)
+    return out, tuple(pivots)
+
+
+def _tau_lanes(work, n: int, lanes: _Lanes):
+    """_tau on the packed rows of work, one row at a time from the last.
+
+    In the column loop a row is only ever cleared by a later row, the one
+    placed on the column where the row's top lane is.  So each row, last
+    first, is cleared on its top lane by the row placed there as long as
+    there is one, then scaled to end in 1 and placed on its top lane: the
+    loop's output, without a scan over the columns.
+    """
+    inv, gf2 = lanes.ctx.inv, lanes.ctx.q == 2
+    placed = {}             # bit of the lane a row ends on -> row
+    for i in range(len(work) - 1, -1, -1):
+        x = work[i]
+        s = x.bit_length() - 1 & -8
+        while s in placed:
+            row = placed[s]
+            x = x ^ row if gf2 else _eliminate(x, (row,), (s >> 3,), lanes, n)
+            s = x.bit_length() - 1 & -8
+        if x >> s != 1:
+            x = _scale_row(x, lanes[inv(x >> s)], n)
+        work[i] = placed[s] = x
+    return tuple(work)
+
+
+def _canonical(work, pivots, n, ctx, lanes):
+    """The CanonicalSubspace of the full-rank rref matrix work, a list of
+    packed rows over a lane field and of rows otherwise."""
+    if lanes is None:
+        return CanonicalSubspace(ctx, n, _tau(work, n, ctx), pivots)
+    packed = _tau_lanes(work, n, lanes)
+    return CanonicalSubspace(ctx, n, _unpack(packed, n), pivots, packed)
+
+
 def canonicalize(rows, n: int, ctx: FieldContext) -> CanonicalSubspace:
     """Canonical subspace spanned by arbitrary row vectors (rank deduced).
 
-    Entries outside range(q) raise ValueError.
+    Rows of another length than n and entries outside range(q) raise
+    ValueError.  Over a lane field the result's packed slot is filled.
     """
     rows = list(rows)
-    _check_entries(rows, ctx.q)
-    reduced, pivots = rref(rows, n, ctx)
-    return CanonicalSubspace(ctx, n, tau(reduced, n, ctx), pivots)
+    _check_entries(rows, ctx.q, n)
+    lanes = _lanes(ctx)
+    return _canonical(*_rref(rows, n, ctx, lanes), n, ctx, lanes)
 
 
 def trivial_subspace(n: int, ctx: FieldContext) -> CanonicalSubspace:
@@ -265,9 +353,18 @@ def intersect(a: CanonicalSubspace, b: CanonicalSubspace):
 
 
 def dual(a: CanonicalSubspace) -> CanonicalSubspace:
-    """Orthogonal complement under the standard bilinear form."""
+    """Orthogonal complement under the standard bilinear form.
+
+    R is the rref of a's rows taken right to left, read back in the
+    original column order: row i is 1 on its pivot p_i and nonzero only
+    left of it.  The vectors e_f - sum_i R[i][f] e_(p_i), one per column f
+    that is not a pivot, span the complement and are a reduced echelon
+    matrix led by f already, so only tau is left to do.
+    """
     ctx, n = a.ctx, a.n
-    reduced, pivots = rref(a.rows, n, ctx)
+    lanes = _lanes(ctx)
+    reduced, pivots = rref([r[::-1] for r in a.rows], n, ctx)
+    pivots = [n - 1 - p for p in pivots]
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     neg = ctx.neg
@@ -275,10 +372,12 @@ def dual(a: CanonicalSubspace) -> CanonicalSubspace:
     for f in free:
         vec = [0] * n
         vec[f] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = neg(reduced[i][f])
-        vectors.append(tuple(vec))
-    return canonicalize(vectors, n, ctx)
+        for row, p in zip(reduced, pivots):
+            vec[p] = neg(row[n - 1 - f])
+        vectors.append(vec)
+    if lanes is not None:
+        vectors = list(map(_pack_row, vectors))
+    return _canonical(vectors, tuple(free), n, ctx, lanes)
 
 
 def contains(a: CanonicalSubspace, v) -> bool:
@@ -294,6 +393,11 @@ def contains(a: CanonicalSubspace, v) -> bool:
 def _pack_row(row) -> int:
     # a bytearray is built from a row in about half the time of bytes
     return int.from_bytes(bytearray(row), "little")
+
+
+def _scale_row(x: int, table: bytes, width: int) -> int:
+    return int.from_bytes(x.to_bytes(width, "little").translate(table),
+                          "little")
 
 
 def _packed_rows(a: CanonicalSubspace):
@@ -314,8 +418,9 @@ def _eliminate(x, rows, pivots, lanes: _Lanes, width: int) -> int:
     lead the row's entry on the pivot.
     """
     neg_inv, p = lanes.neg_inv, lanes.p
-    ones = (1 << (width << 3)) // 255           # 1 in each of width lanes
-    low, high = (128 - p) * ones, ones << 7
+    if p != 2:
+        ones = (1 << (width << 3)) // 255       # 1 in each of width lanes
+        low, high = (128 - p) * ones, ones << 7
     for row, c in zip(rows, pivots):
         s = c << 3
         e = x >> s & 255
@@ -468,7 +573,7 @@ def enumerate_subspaces(n: int, k: int, ctx: FieldContext):
     if k == 0:
         yield trivial_subspace(n, ctx)
         return
-    q = ctx.q
+    q, lanes = ctx.q, _lanes(ctx)
     for pivots in combinations(range(n), k):
         pivot_set = set(pivots)
         free_cells = [(i, c) for i in range(k)
@@ -479,23 +584,9 @@ def enumerate_subspaces(n: int, k: int, ctx: FieldContext):
                 grid[i][p] = 1
             for (i, c), val in zip(free_cells, values):
                 grid[i][c] = val
-            rows = tuple(tuple(r) for r in grid)
-            yield CanonicalSubspace(ctx, n, tau(rows, n, ctx), pivots)
-
-
-def span_vectors(a: CanonicalSubspace):
-    """Every vector of the subspace (q^k of them); brute-force oracle."""
-    ctx, n = a.ctx, a.n
-    add, mul = ctx.add, ctx.mul
-    vectors = [tuple([0] * n)]
-    for row in a.rows:
-        new = []
-        for c in range(1, ctx.q):
-            scaled = tuple(mul(c, x) for x in row)
-            for v in vectors:
-                new.append(tuple(add(x, y) for x, y in zip(v, scaled)))
-        vectors.extend(new)
-    return vectors
+            if lanes is not None:
+                grid = list(map(_pack_row, grid))
+            yield _canonical(grid, pivots, n, ctx, lanes)
 
 
 def subspaces_of(a: CanonicalSubspace, k: int):
@@ -554,7 +645,6 @@ def parse_subspace(text: str, ctx: FieldContext | None = None):
 
     Returns (subspace, was_canonical).
     """
-    from .field import field_from_order
     lines = [ln for ln in text.strip().splitlines()]
     if not lines:
         raise ValueError("empty subspace block")

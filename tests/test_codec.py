@@ -288,6 +288,19 @@ def test_via_dual_round_trip_property(data):
         assert decode_via_dual(params, W) == m
 
 
+def test_via_dual_round_trip_at_n_512():
+    # encode at (512, 4), the complement of 508 rows, and back: dual runs
+    # on packed rows over GF(2) and GF(4)
+    rng = random.Random(512)
+    for q, seeded in ((2, 3), (4, 2)):
+        params = CodecParams(512, 508, field_from_order(q))
+        picks = [0, params.size - 1]
+        picks += [rng.randrange(params.size) for _ in range(seeded)]
+        for m in picks:
+            W = encode_via_dual(params, m)
+            assert W.k == 508 and decode_via_dual(params, W) == m
+
+
 @st.composite
 def codec_cases(draw):
     ctx = draw(st.sampled_from(CODEC_FIELDS))

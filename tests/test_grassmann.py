@@ -253,6 +253,20 @@ def test_closing_class_from_direction_matches_reference():
                 closing_class_from_direction(base, base.rows[-1])
 
 
+def span_vectors(a):
+    """Every vector of the subspace (q^k of them), by brute force."""
+    ctx, n = a.ctx, a.n
+    vectors = [tuple([0] * n)]
+    for row in a.rows:
+        new = []
+        for c in range(1, ctx.q):
+            scaled = tuple(ctx.mul(c, x) for x in row)
+            for v in vectors:
+                new.append(tuple(ctx.add(x, y) for x, y in zip(v, scaled)))
+        vectors.extend(new)
+    return vectors
+
+
 def class_vectors(base, v):
     """Every member of [v]_base: alpha*v + w for alpha != 0, w in the base.
 
@@ -260,7 +274,7 @@ def class_vectors(base, v):
     closed form in _allowed_class_indices.
     """
     ctx = base.ctx
-    span = [w + (0,) for w in L.span_vectors(base)]
+    span = [w + (0,) for w in span_vectors(base)]
     return [tuple(ctx.add(ctx.mul(alpha, x), y) for x, y in zip(v, w))
             for alpha in range(1, ctx.q) for w in span]
 

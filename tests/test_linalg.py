@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -242,9 +243,132 @@ def test_pack_subspace_injective():
             seen[key] = sub
 
 
+# -- rref, tau and dual against the column-scan oracle ----------------------
+# _column_rref and _column_tau are the column loops that linalg keeps for
+# the tuple fields, here with field calls only: lane rref, canonicalize and
+# dual share no code with them.
+
+
+def _column_rref(rows, n, ctx):
+    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    work = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        f = inv(work[rank][col])
+        row = work[rank] = [mul(f, x) for x in work[rank]]
+        for i in range(len(work)):
+            g = work[i][col]
+            if i != rank and g:
+                work[i] = [sub(x, mul(g, y)) for x, y in zip(work[i], row)]
+        pivots.append(col)
+        rank += 1
+    return [tuple(r) for r in work[:rank]], tuple(pivots)
+
+
+def _column_tau(rows, n, ctx):
+    """From column n-1 down, the last unplaced row nonzero there is scaled
+    to end in 1, cleared from the other unplaced rows and placed."""
+    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    work = [list(r) for r in rows]
+    unplaced = list(range(len(work)))
+    for col in range(n - 1, -1, -1):
+        hit = [i for i in unplaced if work[i][col]]
+        if not hit:
+            continue
+        i = hit.pop()
+        f = inv(work[i][col])
+        row = work[i] = [mul(f, x) for x in work[i]]
+        for j in hit:
+            g = work[j][col]
+            work[j] = [sub(x, mul(g, y)) for x, y in zip(work[j], row)]
+        unplaced.remove(i)
+    return tuple(map(tuple, work))
+
+
+def _column_dual(a):
+    """Canonical rows of the complement: e_f - sum_i R[i][f] e_(p_i) from
+    the rref R of a, f a free column, canonicalized by the oracles."""
+    ctx, n = a.ctx, a.n
+    reduced, pivots = _column_rref(a.rows, n, ctx)
+    vectors = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        vec = [0] * n
+        vec[f] = 1
+        for row, p in zip(reduced, pivots):
+            vec[p] = ctx.neg(row[f])
+        vectors.append(vec)
+    return _column_tau(_column_rref(vectors, n, ctx)[0], n, ctx)
+
+
+CANON_FIELDS = [field_from_order(q)
+                for q in (2, 3, 4, 5, 8, 16, 127, 256, 9, 131)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_rref_canonicalize_and_dual_match_the_column_scan(data):
+    # n <= 64, on a third of the draws n <= 6; zero, repeated and
+    # dependent rows, and up to n + 3 rows when n is small.  GF(9) and
+    # GF(131) run the tuple loops: controls.
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    ctx = rng.choice(CANON_FIELDS)
+    q = ctx.q
+    n = rng.choice((rng.randint(1, 6), rng.randint(1, 64), rng.randint(1, 64)))
+    rows = []
+    for _ in range(rng.randint(0, min(n + 3, 10))):
+        kind = rng.randrange(5)
+        if kind == 0 or not rows:
+            dense = rng.random() < 0.5
+            rows.append(tuple(rng.randrange(1, q)
+                              if dense or rng.random() < 0.1 else 0
+                              for _ in range(n)))
+        elif kind == 1:
+            rows.append((0,) * n)
+        elif kind == 2:
+            rows.append(rng.choice(rows))
+        else:
+            x = [0] * n
+            for r in rows:
+                f = rng.randrange(q)
+                x = [ctx.add(e, ctx.mul(f, y)) for e, y in zip(x, r)]
+            rows.append(tuple(x))
+    rng.shuffle(rows)
+    reduced, pivots = _column_rref(rows, n, ctx)
+    assert L.rref(rows, n, ctx) == (reduced, pivots)
+    W = L.canonicalize(rows, n, ctx)
+    assert W.rows == _column_tau(reduced, n, ctx) and W.pivots == pivots
+    assert W.packed == _packing_of(W)
+    D = L.dual(W)
+    assert D.rows == _column_dual(W) and D.packed == _packing_of(D)
+    assert D.pivots == _column_rref(D.rows, n, ctx)[1]
+    for u in W.rows:
+        for v in D.rows:
+            assert reduce(ctx.add, map(ctx.mul, u, v), 0) == 0
+
+
+def test_rows_of_another_length_are_rejected():
+    # a longer row used to come back whole, or as the trivial subspace
+    # when its nonzero entries lay past n; a shorter one raised IndexError
+    F9 = field_from_order(9)
+    for ctx in (F2, F3, F9):
+        for rows in ([(1, 0, 1, 1)], [(0, 0, 0, 1)], [(1, 0)],
+                     [(1, 0, 0), (0, 1)]):
+            for call in (L.canonicalize, L.rref):
+                with pytest.raises(ValueError, match="rows must have length 3"):
+                    call(rows, 3, ctx)
+    a = L.canonicalize([(1, 0, 1)], 3, F2)
+    with pytest.raises(ValueError, match="rows must have length 3"):
+        L.subspace_sum(a, L.CanonicalSubspace(F2, 3, ((0, 1, 0, 1),), (1,)))
+
+
 # -- lane kernels against tuple-row oracles ----------------------------------
-# The oracles below use only ctx.mul, ctx.sub and ctx.inv on tuple rows and
-# canonicalize, whose rref never packs.  The fields cover every lane kind
+# The oracles below use only ctx.mul, ctx.sub and ctx.inv on tuple rows,
+# and the rank of _column_rref.  The fields cover every lane kind
 # (GF(2), characteristic 2 up to 256, primes up to 127, the largest whose
 # lane sums fit a byte) and every tuple kind (odd extension fields, the
 # first prime above 128).
@@ -328,9 +452,10 @@ def kernel_cases(draw):
 def test_lane_kernels_match_oracles(case):
     a, b, v, same = case
     ctx, n = a.ctx, a.n
-    assert L.stacked_rank(a, b) == L.canonicalize(a.rows + b.rows, n, ctx).k
+    assert L.stacked_rank(a, b) == len(_column_rref(a.rows + b.rows, n,
+                                                    ctx)[0])
     assert L.stacked_rank(b, a) == L.stacked_rank(a, b)
-    assert L.contains(a, v) == (L.canonicalize(a.rows + (v,), n, ctx).k
+    assert L.contains(a, v) == (len(_column_rref(a.rows + (v,), n, ctx)[0])
                                 == a.k)
     assert L.reduce_vector(a, v) == _tuple_reduce(a, v)
     for f in {1, ctx.q - 1, v[0]}:
@@ -344,8 +469,11 @@ def test_lane_kernels_match_oracles(case):
 def test_packed_rows_carry_through_derived_subspaces(case):
     a, _, v, _ = case
     ctx = a.ctx
-    # nothing packs until a lane kernel needs it, and derived subspaces
+    # canonicalize packs over a lane field; a subspace made from rows
+    # alone packs when a lane kernel first needs it, and derived subspaces
     # of an unpacked one stay unpacked
+    assert a.packed == _packing_of(a)
+    a = L.CanonicalSubspace(ctx, a.n, a.rows, a.pivots)
     assert a.packed is None and _append_zero_col(a, 2).packed is None
     L.contains(a, v)
     assert a.packed == _packing_of(a)

@@ -1,7 +1,7 @@
 """Output-identity hashes of the codec, the GRAY/PROJ writers and verify.
 
 Run from anywhere as `python3 tools/identity_hashes.py`; it imports
-grayspace from the `src/` beside this directory.  It prints four lines,
+grayspace from the `src/` beside this directory.  It prints five lines,
 each a label and the first 16 hex digits of a sha256:
 
   grid      encode, decode, decode_fast, encode_via_dual and decode_via_dual
@@ -13,11 +13,15 @@ each a label and the first 16 hex digits of a sha256:
   files     the bytes of `grayspace gen`, `gen --seed` and `proj` files,
             `proj` over GF(2), GF(3) and GF(4) (GF(64) built on GF(4));
   verify    exit code, stdout and stderr of `grayspace verify` on those
-            files and on three damaged copies of each.
+            files and on three damaged copies of each;
+  wide      encode_via_dual and decode_via_dual at indices 0, P-1 and two
+            seeded ones, then dual, intersect and canonicalize on those
+            items and on low-dimensional subspaces, at five parameter
+            sets with n up to 256 over lane and tuple fields.
 
 Two trees whose lines are equal give identical indices, matrices, file
 bytes and verify verdicts on these inputs.  The grid line takes about a
-minute.
+minute; so does the wide line on a tree whose rref runs on tuples.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from grayspace import cli  # noqa: E402
 from grayspace.codec import (CodecParams, decode, decode_fast,  # noqa: E402
                              decode_via_dual, encode, encode_via_dual)
 from grayspace.field import field_from_order  # noqa: E402
+from grayspace.linalg import canonicalize, dual, intersect  # noqa: E402
 from grayspace.qcombin import gaussian  # noqa: E402
 
 # the last six reach the boundaries of linalg's lane fields: primes 5, 7
@@ -45,6 +50,8 @@ LARGE = [(256, 4, 2), (64, 16, 2), (256, 4, 3), (128, 4, 8), (40, 30, 3),
          (128, 32, 2), (256, 64, 2), (64, 4, 9), (32, 3, 128),
          (48, 6, 5), (40, 5, 7), (24, 3, 127), (24, 3, 131), (24, 4, 27),
          (20, 3, 256)]
+# 2k > n, so the via-dual codec runs; GF(9) and GF(131) stay on tuples
+WIDE = [(256, 252, 2), (128, 124, 3), (64, 60, 4), (48, 45, 9), (32, 29, 131)]
 GEN = [(4, 2, 2), (5, 2, 3), (6, 3, 2), (7, 3, 2), (3, 1, 4)]
 SEEDS = (0, 1, 2)
 PROJ = [(n, q) for n in (1, 3, 5) for q in (2, 3)] + [(3, 4)]
@@ -89,6 +96,29 @@ def large_lines():
             yield "%d %d %d %d %r %d %d" % (n, k, q, m, sub.rows,
                                             decode_fast(params, sub),
                                             decode(params, sub))
+
+
+def wide_lines():
+    rng = random.Random(12)
+    for n, k, q in WIDE:
+        params = CodecParams(n, k, field_from_order(q))
+        picks = [0, params.size - 1] + [rng.randrange(params.size)
+                                        for _ in range(2)]
+        items = []
+        for m in picks:
+            sub = encode_via_dual(params, m)
+            items.append(sub)
+            yield "%d %d %d %d %r %d" % (n, k, q, m, sub.rows,
+                                         decode_via_dual(params, sub))
+        # low-dimensional subspaces: the duals of the wide ones, and one
+        # spanned by seeded rows with a repeated and a zero row
+        low = [dual(sub) for sub in items]
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(3)]
+        low.append(canonicalize(rows + rows[:1] + [[0] * n], n, params.ctx))
+        for a, b in zip(items + low, items[1:] + low[1:] + items[:1]):
+            yield "%r %r %r" % (dual(b).rows, intersect(a, b).rows,
+                                canonicalize(a.rows + b.rows, n,
+                                             params.ctx).rows)
 
 
 def run_cli(argv):
@@ -164,6 +194,7 @@ def main():
         file_lines, verify_lines = file_and_verify_lines(Path(tmp))
     print("files ", digest(file_lines))
     print("verify", digest(verify_lines))
+    print("wide  ", digest(wide_lines()))
 
 
 if __name__ == "__main__":
