@@ -355,14 +355,15 @@ def test_rows_of_another_length_are_rejected():
     # a longer row used to come back whole, or as the trivial subspace
     # when its nonzero entries lay past n; a shorter one raised IndexError
     F9 = field_from_order(9)
+    message = "rows must have length 3"
     for ctx in (F2, F3, F9):
         for rows in ([(1, 0, 1, 1)], [(0, 0, 0, 1)], [(1, 0)],
                      [(1, 0, 0), (0, 1)]):
             for call in (L.canonicalize, L.rref):
-                with pytest.raises(ValueError, match="rows must have length 3"):
+                with pytest.raises(ValueError, match=message):
                     call(rows, 3, ctx)
     a = L.canonicalize([(1, 0, 1)], 3, F2)
-    with pytest.raises(ValueError, match="rows must have length 3"):
+    with pytest.raises(ValueError, match=message):
         L.subspace_sum(a, L.CanonicalSubspace(F2, 3, ((0, 1, 0, 1),), (1,)))
 
 
