@@ -352,8 +352,8 @@ def test_rref_canonicalize_and_dual_match_the_column_scan(data):
 
 
 def test_rows_of_another_length_are_rejected():
-    # a longer row used to come back whole, or as the trivial subspace
-    # when its nonzero entries lay past n; a shorter one raised IndexError
+    # a longer row would overflow its n-byte packing, or drop out when it
+    # is zero up to n; a shorter one would be read past its end
     F9 = field_from_order(9)
     message = "rows must have length 3"
     for ctx in (F2, F3, F9):
