@@ -17,10 +17,11 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field as dfield
+from itertools import chain
 
 from .field import FieldContext, field_from_order
 from .linalg import (CanonicalSubspace, _append_zero_col, _check_entries,
-                     contains, dual, extend_subspace, grassmann_adjacent,
+                     contains, dual, extension_block, grassmann_adjacent,
                      intersect, is_simple, leading_column, pack_subspace,
                      projective_adjacent, reduce_vector, scale_vector,
                      simple_subspace, format_subspace, parse_subspace)
@@ -70,8 +71,7 @@ class ExtensionFamily:
         return len(self.reps)
 
     def extensions(self):
-        ext = _append_zero_col(self.base)
-        return [extend_subspace(ext, v) for v in self.reps]
+        return list(_block(self.base, range(self.width)))
 
 
 def _nonpivot_columns(base: CanonicalSubspace):
@@ -82,6 +82,12 @@ def _nonpivot_columns(base: CanonicalSubspace):
         start = p + 1
     out.extend(range(start, base.n))
     return out
+
+
+def _block(base: CanonicalSubspace, classes):
+    """The extensions of base by the classes, in order, in W^(base.n+1)."""
+    return extension_block(_append_zero_col(base), _nonpivot_columns(base),
+                           base.n, classes)
 
 
 def _rep_vector(q, n, nonpiv, j):
@@ -152,7 +158,9 @@ def class_index(base: CanonicalSubspace, rep) -> int:
 # e_{n-1} alone) and closes it with the class of e_{n-1} + x, where x is
 # the next base's extra direction reduced against the current base.  That
 # shared direction makes consecutive blocks adjacent, and the rule is local
-# so the codec can recompute it from indices alone.
+# so the codec can recompute it from indices alone.  linalg.extension_block
+# steps a block's new row from class to class like an odometer; the items
+# of a block share the base's k-1 rows, so their pairs need no rank.
 
 
 def closing_class_index(base: CanonicalSubspace,
@@ -247,24 +255,13 @@ def iter_simple(n: int, k: int, ctx: FieldContext):
     held = None
     bases = iter_simple(n - 1, k - 1, ctx)
     first_base = prev = next(bases)
-    for base in bases:
-        held = yield from _emit_block(prev, base, width, held)
-        prev = base
-    held = yield from _emit_block(prev, first_base, width, held)
-    yield held
-
-
-def _emit_block(base, succ, width, held):
-    """Yield one block's extensions in order; hold back the very first."""
-    ext = _append_zero_col(base)
-    q, nonpiv = base.ctx.q, _nonpivot_columns(base)
-    for c in block_class_order(base, succ, width):
-        item = extend_subspace(ext, _rep_vector(q, ext.n, nonpiv, c))
+    for base in chain(bases, (first_base,)):
+        items = _block(prev, block_class_order(prev, base, width))
         if held is None:
-            held = item      # C*_0 closes the cycle
-        else:
-            yield item
-    return held
+            held = next(items)      # C*_0 closes the cycle
+        yield from items
+        prev = base
+    yield held
 
 
 def build_simple(n: int, k: int, ctx: FieldContext) -> GraySequence:
@@ -424,9 +421,7 @@ def _build_general(n, k, ctx, source, cache):
 
     cstar = []
     for fam, order in zip(families, orders):
-        ext = _append_zero_col(fam.base)
-        for j in order:
-            cstar.append(extend_subspace(ext, fam.reps[j]))
+        cstar.extend(_block(fam.base, order))
 
     period = len(code_k.items)
     j_ins = source.insertion_index(n, k, period)

@@ -12,11 +12,11 @@ The 0 x n empty matrix is the canonical form of the trivial subspace.
 Lane fields.  Over every field of characteristic 2 with q <= 256 and every
 prime field with p < 128 the kernels rref and tau (and so canonicalize,
 dual, subspace_sum, intersect and parse_subspace), reduce_vector (and so
-contains) and stacked_rank, and the scaling of scale_vector and
-extend_subspace, work on packed rows: one Python int per row,
-int.from_bytes(bytearray(row), "little"), so column c is the byte lane
-at bits 8c..8c+7 and a row costs a few C-speed operations, not one field
-call per entry.
+contains) and stacked_rank, the scaling of scale_vector and
+extend_subspace, and the new rows of extension_block work on packed rows:
+one Python int per row, int.from_bytes(bytearray(row), "little"), so
+column c is the byte lane at bits 8c..8c+7 and a row costs a few C-speed
+operations, not one field call per entry.
 - Scaling by f is bytes.translate with the 256-byte table e -> f*e, one
   table per (field, f), built the first time f is used.
 - In characteristic 2, row addition is XOR.  GF(2) is the case where every
@@ -45,9 +45,9 @@ A CanonicalSubspace keeps its packed rows in the `packed` slot: filled by
 canonicalize, dual and enumerate_subspaces, else built on first use; tuples
 stay the form of every result and of the file format.
 Zero columns added on the right leave every packed int as it is, so
-_append_zero_col and extend_subspace, which derive a subspace by padding
-or by adding one row, pass the ints it shares with its source on
-unchanged.  No other module reads or builds packed ints.
+_append_zero_col, extend_subspace and extension_block, which derive a
+subspace by padding or by adding one row, pass the ints it shares with
+its source on unchanged.  No other module reads or builds packed ints.
 """
 
 from __future__ import annotations
@@ -512,8 +512,21 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
 
 
 def grassmann_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
-    """Adjacency in the Grassmann graph: equal dims meeting in dim k-1."""
-    return a.k == b.k and stacked_rank(a, b) == a.k + 1
+    """Adjacency in the Grassmann graph: equal dims meeting in dim k-1.
+
+    Canonical rows are independent and unique to the subspace, so two that
+    share k-1 rows are adjacent exactly when their rows differ; only other
+    pairs need a rank.  Packed rows, when both have them, hash faster.
+    """
+    _check_ambient(a, b)
+    if a.k != b.k:
+        return False
+    ra, rb = a.packed, b.packed
+    if ra is None or rb is None:
+        ra, rb = a.rows, b.rows
+    if len(set(ra + rb)) <= a.k + 1:
+        return ra != rb
+    return stacked_rank(a, b) == a.k + 1
 
 
 def projective_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
@@ -562,6 +575,46 @@ def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     if packed is not None:
         packed = packed[:pos] + (_pack_row(v),) + packed[pos:]
     return CanonicalSubspace(ctx, base.n, rows, pivots, packed)
+
+
+def extension_block(base: CanonicalSubspace, digits, top: int, classes):
+    """Yield base + span(v_c) for each class c of classes, in order.
+
+    v_c is 1 in column top and has the base-q digits of c, lowest first, on
+    the ascending columns digits; base must have no pivot there and be zero
+    from top on (ValueError).  v_c ends in 1, so it is the new canonical
+    row, slotted by its lead.  v and its int are stepped from class to
+    class on the digits that differ, like an odometer.
+    """
+    ctx, n, rows, pivots = base.ctx, base.n, base.rows, base.pivots
+    q, lane = ctx.q, _lanes(ctx) is not None
+    packed = _packed_rows(base) if lane else ()
+    if not set(pivots).isdisjoint(digits) or any(any(r[top:]) for r in rows):
+        raise ValueError("vector must be reduced against the base and nonzero")
+    v = [0] * n
+    v[top] = 1
+    x, a, splits = 1 << (top << 3), 0, {}
+    for c in classes:
+        b = c
+        for r in digits:
+            if a == b:
+                break
+            a, da = divmod(a, q)
+            b, db = divmod(b, q)
+            if da != db:
+                v[r] = db
+                x += db - da << (r << 3)
+        a = c
+        lead = (x & -x).bit_length() - 1 >> 3 if lane else leading_column(v)
+        split = splits.get(lead)
+        if split is None:
+            pos = bisect_left(pivots, lead)
+            split = splits[lead] = (
+                rows[:pos], rows[pos:], pivots[:pos] + (lead,) + pivots[pos:],
+                packed[:pos], packed[pos:])
+        lo, hi, piv, plo, phi = split
+        yield CanonicalSubspace(ctx, n, lo + (tuple(v),) + hi, piv,
+                                plo + (x,) + phi if lane else None)
 
 
 def enumerate_subspaces(n: int, k: int, ctx: FieldContext):

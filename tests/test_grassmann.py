@@ -10,7 +10,9 @@ from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
                                       ExtensionFamily, GraySequence,
                                       RandomChoiceSource,
                                       ScriptedChoiceSource,
-                                      _allowed_class_indices, build_general,
+                                      _allowed_class_indices,
+                                      _nonpivot_columns, _rep_vector,
+                                      block_class_order, build_general,
                                       build_simple, class_index,
                                       class_representative,
                                       closing_class_from_direction,
@@ -296,3 +298,92 @@ def test_allowed_class_indices_match_brute_force():
                     assert _allowed_class_indices(prev, rep, cur) == brute
                     cases += 1
     assert cases > 1000
+
+
+# -- the block builder against per-item extension ----------------------------
+
+def oracle_block(base, classes):
+    """Each class's extension built on its own: the representative vector,
+    then extend_subspace."""
+    ext = L._append_zero_col(base)
+    nonpiv = _nonpivot_columns(base)
+    return [L.extend_subspace(ext, _rep_vector(base.ctx.q, ext.n, nonpiv, c))
+            for c in classes]
+
+
+def oracle_iter_simple(n, k, ctx):
+    """iter_simple as nested generators over oracle_block."""
+    if k == 0 or k == n:
+        yield L.simple_subspace(n, k, ctx)
+        return
+    for sub in oracle_iter_simple(n - 1, k, ctx):
+        yield L._append_zero_col(sub)
+    width = ctx.q ** (n - k)
+    bases = oracle_iter_simple(n - 1, k - 1, ctx)
+    first = prev = next(bases)
+    held = None
+    for succ in itertools.chain(bases, [first]):
+        block = oracle_block(prev, block_class_order(prev, succ, width))
+        if held is None:
+            held = block.pop(0)     # the code's first item closes the cycle
+        yield from block
+        prev = succ
+    yield held
+
+
+LANE_QS = (2, 3, 4, 5, 8, 256)
+
+
+def test_extension_block_matches_the_per_item_oracle():
+    rng = random.Random(13)
+    for q in LANE_QS + (9, 131):
+        ctx = field_from_order(q)
+        for _ in range(12):
+            n = rng.randrange(2, 7)
+            k = rng.randrange(1, n)
+            while q ** (n - k) > 1000:
+                k += 1
+            base = L.canonicalize(
+                [[rng.randrange(q) for _ in range(n - 1)]
+                 for _ in range(k - 1)], n - 1, ctx)
+            width = q ** (n - 1 - base.k)
+            order = RandomChoiceSource(rng.random()).extension_order(
+                n, k, 0, 1, width, base, None, None, None)
+            got = list(L.extension_block(
+                L._append_zero_col(base), _nonpivot_columns(base),
+                n - 1, order))
+            want = oracle_block(base, order)
+            assert [(s.rows, s.pivots) for s in got] == [
+                (s.rows, s.pivots) for s in want]
+            for s in got:
+                assert s.packed == (tuple(int.from_bytes(bytes(r), "little")
+                                          for r in s.rows)
+                                    if q in LANE_QS else None)
+
+
+def test_extension_block_rejects_a_base_in_its_columns():
+    F4 = field_from_order(4)
+    for ctx in (F2, F4, field_from_order(9)):
+        base = L._append_zero_col(L.canonicalize([(0, 1, 1, 0)], 4, ctx))
+        for digits, top in (([0, 1, 3], 4), ([0, 3], 2), ([0, 3], 1)):
+            with pytest.raises(ValueError, match="reduced against the base"):
+                list(L.extension_block(base, digits, top, range(2)))
+        assert len(list(L.extension_block(base, [0, 3], 4, range(2)))) == 2
+
+
+def test_iter_simple_matches_the_per_item_oracle():
+    # criterion 2's grid plus GF(9); the oracle would spend about 6 s on
+    # the three cells (6, 2..4, 4) above the cap, which the stream line of
+    # tools/identity_hashes.py covers instead
+    for q in (2, 3, 4, 9):
+        ctx = field_from_order(q)
+        for n in range(7 if q < 9 else 5):
+            for k in range(n + 1):
+                if gaussian(n, k, q) > 5 * 10 ** 4:
+                    continue
+                count = 0
+                for got, want in itertools.zip_longest(
+                        iter_simple(n, k, ctx), oracle_iter_simple(n, k, ctx)):
+                    assert (got.rows, got.pivots) == (want.rows, want.pivots)
+                    count += 1
+                assert count == gaussian(n, k, q)

@@ -544,3 +544,62 @@ def test_entries_outside_the_field_are_rejected():
         with pytest.raises(ValueError, match=r"range\(%d\)" % q):
             call()
     assert L.contains(b, (2, 0, 1)) and not L.contains(b, (1, 0, 0))
+
+
+# -- Grassmann adjacency: the shared-row test against the rank ---------------
+
+ADJACENCY_FIELDS = [field_from_order(q) for q in (2, 3, 4, 8, 256, 9, 131)]
+
+
+def test_adjacency_checks_the_ambient_space_first():
+    # two distinct lines share k-1 = 0 rows, so the shared-row test alone
+    # would call them adjacent even where they cannot be compared
+    F4 = field_from_order(4)
+    line = L.canonicalize([(1, 0, 0)], 3, F2)
+    pairs = [(line, L.canonicalize([(0, 1, 0, 0)], 4, F2)),
+             (line, L.canonicalize([(0, 1, 0)], 3, F4))]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="ambient"):
+                L.grassmann_adjacent(x, y)
+
+
+@st.composite
+def adjacency_pairs(draw):
+    """(a, b) in GF(q)^n with k <= 4: two extensions of one (k-1)-dim base,
+    which share its k-1 rows; a and a copy of it; or two unrelated ones.
+
+    An extension row ends in a column the base is zero on, at or past t.
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ctx = rng.choice(ADJACENCY_FIELDS)
+    k = rng.randrange(5)
+    n = rng.randrange(max(k, 1), 9)
+    kind = rng.choice(("shared", "shared", "equal", "unrelated"))
+    if kind == "shared" and 0 < k < n:
+        t = rng.randrange(k - 1, n)
+        base = L.canonicalize([r + [0] * (n - t) for r in
+                               random_rows(rng, t, k - 1, ctx)], n, ctx)
+
+        def extension():
+            top = rng.randrange(t, n)
+            v = [rng.randrange(ctx.q) for _ in range(top)]
+            v += [rng.randrange(1, ctx.q)] + [0] * (n - 1 - top)
+            return L.extend_subspace(base, L.reduce_vector(base, v))
+
+        return extension(), extension()
+    a = L.canonicalize(random_rows(rng, n, k, ctx), n, ctx)
+    if kind == "equal":
+        return a, L.CanonicalSubspace(ctx, n, a.rows, a.pivots)
+    rows = [[rng.randrange(ctx.q) for _ in range(n)]
+            for _ in range(rng.choice((k, k, rng.randrange(5))))]
+    return a, L.canonicalize(rows, n, ctx)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(adjacency_pairs())
+def test_adjacency_matches_the_rank(pair):
+    a, b = pair
+    for x, y in (a, b), (b, a):
+        assert L.grassmann_adjacent(x, y) == (
+            x.k == y.k and L.stacked_rank(x, y) == x.k + 1)

@@ -1,8 +1,9 @@
 """Output-identity hashes of the codec, the GRAY/PROJ writers and verify.
 
-Run from anywhere as `python3 tools/identity_hashes.py`; it imports
-grayspace from the `src/` beside this directory.  It prints five lines,
-each a label and the first 16 hex digits of a sha256:
+Run from anywhere as `python3 tools/identity_hashes.py [label ...]`; it
+imports grayspace from the `src/` beside this directory.  It prints six
+lines, or those of the labels named, each a label and the first 16 hex
+digits of a sha256:
 
   grid      encode, decode, decode_fast, encode_via_dual and decode_via_dual
             for every index of the acceptance suite's criterion-3 grid
@@ -17,11 +18,18 @@ each a label and the first 16 hex digits of a sha256:
   wide      encode_via_dual and decode_via_dual at indices 0, P-1 and two
             seeded ones, then dual, intersect and canonicalize on those
             items and on low-dimensional subspaces, at five parameter
-            sets with n up to 256 over lane and tuple fields.
+            sets with n up to 256 over lane and tuple fields;
+  stream    the rows and pivots of every iter_simple item, and what
+            verify_gray_stream reports (passed, duplicates,
+            adjacency_failures, first_nonadjacent, wraparound_ok) on the
+            stream, on a copy with two items swapped and on one with an
+            item repeated, for criterion 2's grid (q <= 4, n <= 6), q in
+            5, 7, 8, 9 up to n = 4 and k = 1 at n = 5, 6.
 
 Two trees whose lines are equal give identical indices, matrices, file
 bytes and verify verdicts on these inputs.  The grid line takes about a
-minute; so does the wide line on a tree whose rref runs on tuples.
+minute, and so does the stream line; so does the wide line on a tree
+whose rref runs on tuples.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from grayspace import cli  # noqa: E402
 from grayspace.codec import (CodecParams, decode, decode_fast,  # noqa: E402
                              decode_via_dual, encode, encode_via_dual)
 from grayspace.field import field_from_order  # noqa: E402
+from grayspace.grassmann_gray import (iter_simple,  # noqa: E402
+                                      verify_gray_stream)
 from grayspace.linalg import canonicalize, dual, intersect  # noqa: E402
 from grayspace.qcombin import gaussian  # noqa: E402
 
@@ -54,6 +64,11 @@ LARGE = [(256, 4, 2), (64, 16, 2), (256, 4, 3), (128, 4, 8), (40, 30, 3),
 WIDE = [(256, 252, 2), (128, 124, 3), (64, 60, 4), (48, 45, 9), (32, 29, 131)]
 GEN = [(4, 2, 2), (5, 2, 3), (6, 3, 2), (7, 3, 2), (3, 1, 4)]
 SEEDS = (0, 1, 2)
+STREAM = ([(n, k, q) for q in (2, 3, 4) for n in range(7)
+           for k in range(n + 1)]
+          + [(n, k, q) for q in (5, 7, 8, 9) for n in range(5)
+             for k in range(n + 1)]
+          + [(n, 1, q) for q in (5, 7, 8, 9) for n in (5, 6)])
 PROJ = [(n, q) for n in (1, 3, 5) for q in (2, 3)] + [(3, 4)]
 
 
@@ -119,6 +134,24 @@ def wide_lines():
             yield "%r %r %r" % (dual(b).rows, intersect(a, b).rows,
                                 canonicalize(a.rows + b.rows, n,
                                              params.ctx).rows)
+
+
+def stream_lines():
+    for n, k, q in STREAM:
+        ctx = field_from_order(q)
+        items = list(iter_simple(n, k, ctx))
+        for sub in items:
+            yield "%r %r" % (sub.rows, sub.pivots)
+        size = len(items)
+        i, j = size // 3, (2 * size) // 3
+        swapped = list(items)
+        swapped[i], swapped[j] = items[j], items[i]
+        repeated = items[:j + 1] + items[j:]
+        for copy in items, swapped, repeated:
+            rep = verify_gray_stream(iter(copy), n, k, ctx)
+            yield "%d %d %d %r %d %d %r %r" % (
+                n, k, q, rep.passed, rep.duplicates, rep.adjacency_failures,
+                rep.first_nonadjacent, rep.wraparound_ok)
 
 
 def run_cli(argv):
@@ -187,15 +220,25 @@ def file_and_verify_lines(tmp):
     return file_lines, verify_lines
 
 
-def main():
-    print("grid  ", digest(grid_lines()))
-    print("large ", digest(large_lines()))
-    with tempfile.TemporaryDirectory() as tmp:
-        file_lines, verify_lines = file_and_verify_lines(Path(tmp))
-    print("files ", digest(file_lines))
-    print("verify", digest(verify_lines))
-    print("wide  ", digest(wide_lines()))
+def main(labels):
+    labels = set(labels) or {"grid", "large", "files", "verify", "wide",
+                             "stream"}
+    if "grid" in labels:
+        print("grid  ", digest(grid_lines()))
+    if "large" in labels:
+        print("large ", digest(large_lines()))
+    if labels & {"files", "verify"}:
+        with tempfile.TemporaryDirectory() as tmp:
+            file_lines, verify_lines = file_and_verify_lines(Path(tmp))
+        if "files" in labels:
+            print("files ", digest(file_lines))
+        if "verify" in labels:
+            print("verify", digest(verify_lines))
+    if "wide" in labels:
+        print("wide  ", digest(wide_lines()))
+    if "stream" in labels:
+        print("stream", digest(stream_lines()))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
