@@ -1,9 +1,8 @@
 """Output-identity hashes of the codec, the GRAY/PROJ writers and verify.
 
-Run from anywhere as `python3 tools/identity_hashes.py [label ...]`; it
-imports grayspace from the `src/` beside this directory.  It prints six
-lines, or those of the labels named, each a label and the first 16 hex
-digits of a sha256:
+Run from anywhere as `python3 tools/identity_hashes.py`; it imports
+grayspace from the `src/` beside this directory.  It prints six lines,
+each a label and the first 16 hex digits of a sha256:
 
   grid      encode, decode, decode_fast, encode_via_dual and decode_via_dual
             for every index of the acceptance suite's criterion-3 grid
@@ -220,25 +219,16 @@ def file_and_verify_lines(tmp):
     return file_lines, verify_lines
 
 
-def main(labels):
-    labels = set(labels) or {"grid", "large", "files", "verify", "wide",
-                             "stream"}
-    if "grid" in labels:
-        print("grid  ", digest(grid_lines()))
-    if "large" in labels:
-        print("large ", digest(large_lines()))
-    if labels & {"files", "verify"}:
-        with tempfile.TemporaryDirectory() as tmp:
-            file_lines, verify_lines = file_and_verify_lines(Path(tmp))
-        if "files" in labels:
-            print("files ", digest(file_lines))
-        if "verify" in labels:
-            print("verify", digest(verify_lines))
-    if "wide" in labels:
-        print("wide  ", digest(wide_lines()))
-    if "stream" in labels:
-        print("stream", digest(stream_lines()))
+def main():
+    print("grid  ", digest(grid_lines()))
+    print("large ", digest(large_lines()))
+    with tempfile.TemporaryDirectory() as tmp:
+        file_lines, verify_lines = file_and_verify_lines(Path(tmp))
+    print("files ", digest(file_lines))
+    print("verify", digest(verify_lines))
+    print("wide  ", digest(wide_lines()))
+    print("stream", digest(stream_lines()))
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
