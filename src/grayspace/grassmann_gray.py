@@ -55,25 +55,6 @@ class GraySequence:
         return len(self.items)
 
 
-@dataclass(frozen=True)
-class ExtensionFamily:
-    """A (k-1)-dim base in W^(n-1) with its q^(n-k) extension vectors.
-
-    reps[j] is the canonical representative of the j-th equivalence class of
-    W^n \\ W^(n-1) induced by the base: zero on the base's pivot columns,
-    final coordinate 1, and the base-q digits of j on the remaining columns.
-    """
-    base: CanonicalSubspace
-    reps: tuple
-
-    @property
-    def width(self) -> int:
-        return len(self.reps)
-
-    def extensions(self):
-        return list(_block(self.base, range(self.width)))
-
-
 def _nonpivot_columns(base: CanonicalSubspace):
     out = []
     start = 0
@@ -109,21 +90,6 @@ def _class_digits(v, nonpiv, q):
     for r in reversed(nonpiv):
         c = c * q + v[r]
     return c
-
-
-def explicit_representatives(base: CanonicalSubspace,
-                             ctx: FieldContext) -> ExtensionFamily:
-    """The specialized choice of class representatives for one base.
-
-    base lives in W^(n-1) (its ambient dimension); the representatives are
-    vectors of W^n, i.e. one coordinate longer.
-    """
-    if base.ctx is not ctx:
-        raise ValueError("base does not belong to the given field")
-    nonpiv = _nonpivot_columns(base)
-    return ExtensionFamily(base, tuple(
-        tuple(_rep_vector(ctx.q, base.n + 1, nonpiv, j))
-        for j in range(ctx.q ** len(nonpiv))))
 
 
 def class_representative(base: CanonicalSubspace, v):
@@ -176,22 +142,6 @@ def closing_class_index(base: CanonicalSubspace,
         if c is not None:
             return c
     raise ValueError("successor base equals the current base")
-
-
-def closing_class_from_direction(base: CanonicalSubspace, x) -> int:
-    """closing_class_index(base, succ) from one vector x of succ + base.
-
-    x must lie outside base.  (base + succ) / base is one-dimensional, so
-    every such x reduces against base to a multiple of one vector, and the
-    normalized remainder is the one closing_class_index finds by reducing
-    the successor's rows one at a time.  Entries outside range(q) raise
-    ValueError.
-    """
-    _check_entries((x,), base.ctx.q)
-    c = _closing_class(base, x, _nonpivot_columns(base))
-    if c is None:
-        raise ValueError("direction lies in the base")
-    return c
 
 
 def _closing_class(base: CanonicalSubspace, x, nonpiv):
@@ -275,8 +225,8 @@ def build_simple(n: int, k: int, ctx: FieldContext) -> GraySequence:
 class ChoiceSource:
     """Deterministic choices reproducing the specialized construction."""
 
-    def extension_order(self, n, k, block_index, num_blocks, width,
-                        base, succ, allowed_first, allowed_last):
+    def extension_order(self, n, k, block_index, width, base, succ,
+                        allowed_first, allowed_last):
         """Permutation of range(width): the class visit order for one block."""
         return block_class_order(base, succ, width)
 
@@ -293,8 +243,8 @@ class RandomChoiceSource(ChoiceSource):
     def __init__(self, seed=None):
         self.rng = random.Random(seed)
 
-    def extension_order(self, n, k, block_index, num_blocks, width,
-                        base, succ, allowed_first, allowed_last):
+    def extension_order(self, n, k, block_index, width, base, succ,
+                        allowed_first, allowed_last):
         idx = list(range(width))
         if allowed_first is None and allowed_last is None:
             self.rng.shuffle(idx)
@@ -325,8 +275,8 @@ class ScriptedChoiceSource(ChoiceSource):
     def __init__(self, script):
         self.script = script
 
-    def extension_order(self, n, k, block_index, num_blocks, width,
-                        base, succ, allowed_first, allowed_last):
+    def extension_order(self, n, k, block_index, width, base, succ,
+                        allowed_first, allowed_last):
         entry = self.script.get((n, k), {})
         orders = entry.get("orders")
         if orders is None:
@@ -380,27 +330,22 @@ def _build_general(n, k, ctx, source, cache):
         return seq
     code_k = _build_general(n - 1, k, ctx, source, cache)        # C'
     code_km1 = _build_general(n - 1, k - 1, ctx, source, cache)  # C''
-    q = ctx.q
-    width = q ** (n - k)
+    width = ctx.q ** (n - k)
     bases = code_km1.items
     nb = len(bases)
-    families = [explicit_representatives(b, ctx) for b in bases]
-
-    orders = []
-    prev_last_rep = None
-    first_rep = None
-    for i, fam in enumerate(families):
+    cstar = []
+    prev_last_rep = first_rep = None
+    for i, base in enumerate(bases):
         allowed_first = allowed_last = None
         if nb > 1:
             if i > 0:
                 allowed_first = _allowed_class_indices(
-                    bases[i - 1], prev_last_rep, bases[i])
+                    bases[i - 1], prev_last_rep, base)
             if i == nb - 1:
                 allowed_last = _allowed_class_indices(
-                    bases[0], first_rep, bases[i])
+                    bases[0], first_rep, base)
         succ = bases[(i + 1) % nb] if nb > 1 else None
-        order = source.extension_order(n, k, i, nb, width,
-                                       bases[i], succ,
+        order = source.extension_order(n, k, i, width, base, succ,
                                        allowed_first, allowed_last)
         if sorted(order) != list(range(width)):
             raise ConstraintViolation(
@@ -414,14 +359,13 @@ def _build_general(n, k, ctx, source, cache):
             raise ConstraintViolation(
                 "final block last class %d breaks the wraparound chain"
                 % (order[-1],))
-        orders.append(order)
-        prev_last_rep = fam.reps[order[-1]]
+        block = list(_block(base, order))
+        # an item differs from its base in the one row that ends in 1:
+        # the representative of its class
+        prev_last_rep = next(r for r in block[-1].rows if r[-1])
         if i == 0:
-            first_rep = fam.reps[order[0]]
-
-    cstar = []
-    for fam, order in zip(families, orders):
-        cstar.extend(_block(fam.base, order))
+            first_rep = next(r for r in block[0].rows if r[-1])
+        cstar.extend(block)
 
     period = len(code_k.items)
     j_ins = source.insertion_index(n, k, period)
@@ -614,6 +558,9 @@ def read_gray_file(f) -> GraySequence:
     if kind == "PROJ":
         values.insert(1, None)
     n, k, q, count, cyc = values
+    if not 0 <= (k or 0) <= n or count < 0 or cyc not in (0, 1):
+        raise ValueError("%s header: need n >= 0, 0 <= k <= n, count >= 0 "
+                         "and a cyclic flag of 0 or 1" % kind)
     if len(head) > 1:
         raise ValueError("malformed %s header block" % kind)
     ctx = field_from_order(q)

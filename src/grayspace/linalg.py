@@ -3,7 +3,7 @@
 Matrices are tuples of rows; a row is a tuple of element indices (see
 field.py).  A subspace is represented by its unique canonical matrix: the
 reduced row echelon basis of the row span transformed by the recursive map
-`tau`.  Canonical matrices are in row echelon form (leading coefficients
+tau.  Canonical matrices are in row echelon form (leading coefficients
 need not be 1), equal row spans give byte-identical canonical matrices, and
 subspace equality is defined as equality of canonical matrices.
 
@@ -193,34 +193,10 @@ def last_nonzero(row) -> int:
     return len(row) - 1 - next(compress(count(), reversed(row)), len(row))
 
 
-def is_rref(rows, n: int, ctx: FieldContext) -> bool:
-    last = -1
-    for i, row in enumerate(rows):
-        lead = leading_column(row)
-        if lead == len(row) or lead <= last:
-            return False
-        if row[lead] != 1:
-            return False
-        for other in rows[:i] + rows[i + 1:]:
-            if other[lead]:
-                return False
-        last = lead
-    return True
-
-
-def tau(rows, n: int, ctx: FieldContext):
-    """The recursive canonicalizing transformation on a full-rank rref matrix.
-
-    Preserves the row span and the pivot set; the output is in row echelon
-    form but not reduced.
-    """
-    if not is_rref(rows, n, ctx):
-        raise ValueError("tau requires a full-rank reduced row echelon input")
-    return _tau(list(rows), n, ctx)
-
-
 def _tau(work, n, ctx):
-    """tau on the full-width rows of work, from column n-1 down.
+    """tau on the full-width rows of a full-rank rref matrix, from column
+    n-1 down: it keeps the row span and the pivots, and its output is in
+    row echelon form but not reduced.
 
     In each column the last unplaced row nonzero there is scaled to end in
     1, cleared from the other unplaced rows and placed; the rows keep their

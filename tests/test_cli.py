@@ -159,6 +159,16 @@ def test_verify_parse_failure(capsys, tmp_path):
     bad.write_text("GRAY 4 2 1000000000000000003 35 1\n")
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 4 and "exceeds bound" in err
+    good = tmp_path / "good.gray"
+    assert run(capsys, "gen", "--n", "3", "--k", "1", "--q", "2",
+               "--out", str(good))[0] == 0
+    body = good.read_text().partition("\n")[2]
+    # a cyclic flag other than 0 or 1, k > n, n < 0 and a negative count
+    for header in ("GRAY 3 1 2 7 5", "GRAY 3 4 2 7 1", "GRAY -1 0 2 7 1",
+                   "GRAY 3 1 2 -7 1", "PROJ -3 2 7 1", "PROJ 3 2 7 2"):
+        bad.write_text(header + "\n" + body)
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 4 and out == "" and "header" in err, header
 
 
 def test_proj_and_verify(capsys, tmp_path):

@@ -9,10 +9,9 @@ from grayspace.codec import (CodecParams, _decode_fast, _encode, decode,
                              encode_via_dual)
 from grayspace.field import field_from_order, make_field
 from grayspace import linalg as L
-from grayspace.grassmann_gray import (GraySequence,
-                                      closing_class_from_direction,
-                                      closing_class_index, iter_simple,
-                                      verify_gray)
+from grayspace.grassmann_gray import (GraySequence, _closing_class,
+                                      _nonpivot_columns, closing_class_index,
+                                      iter_simple, verify_gray)
 from grayspace.qcombin import gaussian
 
 F2 = make_field(2, 1)
@@ -252,8 +251,9 @@ def test_decode_fast_successor_direction():
             index, x = _decode_fast(n, k, q, ctx, list(cur.rows), True)
             item, y = _encode(n, k, q, ctx, m, True)
             assert index == m and item == cur
+            nonpiv = _nonpivot_columns(cur)
             for direction in (x, y):
-                assert (closing_class_from_direction(cur, direction)
+                assert (_closing_class(cur, direction, nonpiv)
                         == closing_class_index(cur, nxt)), (n, k, q, m)
 
 

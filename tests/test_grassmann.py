@@ -3,42 +3,46 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grayspace.field import field_from_order, make_field
 from grayspace import linalg as L
 from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
-                                      ExtensionFamily, GraySequence,
-                                      RandomChoiceSource,
+                                      GraySequence, RandomChoiceSource,
                                       ScriptedChoiceSource,
-                                      _allowed_class_indices,
-                                      _nonpivot_columns, _rep_vector,
-                                      block_class_order, build_general,
-                                      build_simple, class_index,
-                                      class_representative,
-                                      closing_class_from_direction,
+                                      _allowed_class_indices, _block,
+                                      _closing_class, _nonpivot_columns,
+                                      _rep_vector, block_class_order,
+                                      build_general, build_simple,
+                                      class_index, class_representative,
                                       closing_class_index, dual_code,
-                                      explicit_representatives, iter_simple,
-                                      read_gray_file, verify_gray,
-                                      write_gray_file)
+                                      iter_simple, read_gray_file,
+                                      verify_gray, write_gray_file)
 from grayspace.qcombin import count_lower_bound, gaussian
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 
 
+def representatives(base):
+    """The explicit representative of every class of base, in class order:
+    vectors of W^(base.n+1)."""
+    q, nonpiv = base.ctx.q, _nonpivot_columns(base)
+    return [tuple(_rep_vector(q, base.n + 1, nonpiv, j))
+            for j in range(q ** len(nonpiv))]
+
+
 def test_explicit_representatives_examples():
-    fam = explicit_representatives(L.trivial_subspace(1, F2), F2)
-    assert fam.reps == ((0, 1), (1, 1))
+    assert representatives(L.trivial_subspace(1, F2)) == [(0, 1), (1, 1)]
 
     base = L.canonicalize([(1, 0, 0)], 3, F2)
-    fam = explicit_representatives(base, F2)
-    assert fam.reps == ((0, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1),
-                        (0, 1, 1, 1))
+    assert representatives(base) == [(0, 0, 0, 1), (0, 1, 0, 1),
+                                     (0, 0, 1, 1), (0, 1, 1, 1)]
     # j = 0 is always the last unit vector alone
     for k in (0, 1):
-        b = L.simple_subspace(3, k, F3)
-        assert explicit_representatives(b, F3).reps[0][-1] == 1
-        assert not any(explicit_representatives(b, F3).reps[0][:-1])
+        rep = representatives(L.simple_subspace(3, k, F3))[0]
+        assert rep[-1] == 1
+        assert not any(rep[:-1])
 
 
 def test_extension_family_invariants():
@@ -48,12 +52,14 @@ def test_extension_family_invariants():
             n, k = 4, rng.randrange(1, 4)
             for base in itertools.islice(
                     L.enumerate_subspaces(n - 1, k - 1, ctx), 5):
-                fam = explicit_representatives(base, ctx)
-                exts = fam.extensions()
-                assert len(set(exts)) == ctx.q ** (n - k)
-                for rep, ext in zip(fam.reps, exts):
-                    assert rep[-1] != 0
+                width = ctx.q ** (n - k)
+                exts = list(_block(base, range(width)))
+                assert len(set(exts)) == width
+                for rep, ext in zip(representatives(base), exts):
                     assert ext.k == k
+                    # the one row that leaves the hyperplane is the
+                    # class's representative
+                    assert [r for r in ext.rows if r[-1]] == [rep]
                     # back inside the hyperplane we recover the base
                     clipped = L.canonicalize(
                         [r[:-1] for r in ext.rows if not r[-1]], n - 1, ctx)
@@ -123,6 +129,19 @@ def test_build_general_random_always_valid():
         assert report.passed, (seed, report.failures)
         seen.add(seq.items)
     assert len(seen) > 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(q=st.sampled_from((2, 3, 4)), n=st.integers(0, 5), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_build_general_random_property(q, n, data, seed):
+    # any seeded run of the construction is an optimal cyclic Gray code
+    k = data.draw(st.integers(0, n))
+    ctx = field_from_order(q)
+    seq = build_general(n, k, ctx, RandomChoiceSource(seed))
+    assert len(seq) == gaussian(n, k, q)
+    report = verify_gray(seq)
+    assert report.passed, (n, k, q, seed, report.failures)
 
 
 def test_build_general_random_3_1_2():
@@ -238,9 +257,10 @@ def test_closing_class_from_direction_matches_reference():
         items = list(iter_simple(n, k, ctx))
         for base, succ in zip(items, items[1:] + items[:1]):
             want = closing_class_index(base, succ)
+            nonpiv = _nonpivot_columns(base)
             # the rule itself: the closing representative less its final 1
             # is a vector of succ + base whose leading entry is 1
-            x = explicit_representatives(base, ctx).reps[want][:-1]
+            x = representatives(base)[want][:-1]
             assert x[L.leading_column(x)] == 1
             assert L.contains(L.subspace_sum(base, succ), x)
             outside =[u for u in succ.rows if not L.contains(base, u)]
@@ -248,11 +268,11 @@ def test_closing_class_from_direction_matches_reference():
             for u in outside:
                 for alpha in range(1, q):
                     x = [ctx.mul(alpha, t) for t in u]
-                    assert closing_class_from_direction(base, x) == want
+                    assert _closing_class(base, x, nonpiv) == want
                 x = [ctx.add(s, t) for s, t in zip(u, base.rows[0])]
-                assert closing_class_from_direction(base, x) == want
-            with pytest.raises(ValueError):
-                closing_class_from_direction(base, base.rows[-1])
+                assert _closing_class(base, x, nonpiv) == want
+            # a direction inside the base picks no class
+            assert _closing_class(base, base.rows[-1], nonpiv) is None
 
 
 def span_vectors(a):
@@ -291,7 +311,7 @@ def test_allowed_class_indices_match_brute_force():
         bases = list(iter_simple(n - 1, k - 1, ctx))
         for a, b in zip(bases, bases[1:] + bases[:1]):
             for prev, cur in ((a, b), (b, a)):
-                for rep in explicit_representatives(prev, ctx).reps:
+                for rep in representatives(prev):
                     brute = {class_index(cur, class_representative(cur, vec))
                              for vec in class_vectors(prev, rep)}
                     assert len(brute) == q
@@ -348,7 +368,7 @@ def test_extension_block_matches_the_per_item_oracle():
                  for _ in range(k - 1)], n - 1, ctx)
             width = q ** (n - 1 - base.k)
             order = RandomChoiceSource(rng.random()).extension_order(
-                n, k, 0, 1, width, base, None, None, None)
+                n, k, 0, width, base, None, None, None)
             got = list(L.extension_block(
                 L._append_zero_col(base), _nonpivot_columns(base),
                 n - 1, order))
