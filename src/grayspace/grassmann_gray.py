@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dfield
 from itertools import chain
 
 from .field import FieldContext, field_from_order
-from .linalg import (CanonicalSubspace, _append_zero_col, _check_entries,
-                     contains, dual, extension_block, grassmann_adjacent,
-                     intersect, is_simple, leading_column, pack_subspace,
+from .linalg import (CanonicalSubspace, _append_zero_col, contains, dual,
+                     extension_block, grassmann_adjacent, intersect,
+                     is_simple, leading_column, pack_subspace,
                      projective_adjacent, reduce_vector, scale_vector,
                      simple_subspace, format_subspace, parse_subspace)
 from .qcombin import gaussian
@@ -90,28 +90,6 @@ def _class_digits(v, nonpiv, q):
     for r in reversed(nonpiv):
         c = c * q + v[r]
     return c
-
-
-def class_representative(base: CanonicalSubspace, v):
-    """Canonical representative of [v]_base for v outside W^(n-1).
-
-    v has length base.n + 1 and nonzero last coordinate; the representative
-    is the unique class member that vanishes on base's pivot columns and has
-    final coordinate 1.  Entries outside range(q) raise ValueError.
-    """
-    ctx = base.ctx
-    if len(v) != base.n + 1 or v[-1] == 0:
-        raise ValueError("vector must leave the hyperplane")
-    _check_entries((v,), ctx.q)
-    v = reduce_vector(base, v[:-1]) + [v[-1]]
-    if v[-1] != 1:
-        return scale_vector(ctx, v, ctx.inv(v[-1]))
-    return tuple(v)
-
-
-def class_index(base: CanonicalSubspace, rep) -> int:
-    """Position j of a canonical class representative in the explicit order."""
-    return _class_digits(rep, _nonpivot_columns(base), base.ctx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +259,9 @@ class ScriptedChoiceSource(ChoiceSource):
         orders = entry.get("orders")
         if orders is None:
             return block_class_order(base, succ, width)
+        if block_index >= len(orders):
+            raise ConstraintViolation("script has no order for block %d"
+                                      % block_index)
         return list(orders[block_index])
 
     def insertion_index(self, n, k, period):
@@ -299,9 +280,13 @@ def _allowed_class_indices(prev_base, prev_rep, cur_base):
     """
     ctx = cur_base.ctx
     add, mul = ctx.add, ctx.mul
-    u = next(r for r in prev_base.rows if not contains(cur_base, r)) + (0,)
-    return {class_index(cur_base, class_representative(
-                cur_base, [add(x, mul(eps, y)) for x, y in zip(prev_rep, u)]))
+    u = next(r for r in prev_base.rows if not contains(cur_base, r))
+    nonpiv = _nonpivot_columns(cur_base)
+    # prev_rep + eps*u ends in 1 (u lies in the hyperplane), so its class
+    # is read off the reduction of the rest: zip drops that last entry
+    return {_class_digits(reduce_vector(
+                cur_base, [add(x, mul(eps, y)) for x, y in zip(prev_rep, u)]),
+                nonpiv, ctx.q)
             for eps in range(ctx.q)}
 
 
@@ -369,10 +354,10 @@ def _build_general(n, k, ctx, source, cache):
 
     period = len(code_k.items)
     j_ins = source.insertion_index(n, k, period)
-    if not 0 <= j_ins < period:
+    if not isinstance(j_ins, int) or not 0 <= j_ins < period:
         raise ConstraintViolation("insertion index %r out of range" % (j_ins,))
     ell = source.insertion_offset(n, k, width)
-    if not 0 <= ell <= width - 2:
+    if not isinstance(ell, int) or not 0 <= ell <= width - 2:
         raise ConstraintViolation("insertion offset %r out of range" % (ell,))
     if period >= 2:
         u = intersect(code_k.items[j_ins],

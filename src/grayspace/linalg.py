@@ -38,8 +38,8 @@ Every other field takes the tuple path, one field call per entry and a
 column loop in rref and tau: the odd extension fields (q = 9, 25, 27, ...,
 243), whose addition works digit by digit, not lane by lane; the primes
 131..251, whose sums overflow a byte; and every q > 256.  pack_subspace
-packs over GF(2) only: over GF(3) a lane key was no faster than the tuple
-key on `proj --n 5 --q 3` and its verify, even with the rows packed.
+keys a subspace by the rows it already holds: packed over a lane field,
+tuples otherwise.
 
 A CanonicalSubspace keeps its packed rows in the `packed` slot: filled by
 canonicalize, dual and enumerate_subspaces, else built on first use; tuples
@@ -393,6 +393,12 @@ def _eliminate(x, rows, pivots, lanes: _Lanes, width: int) -> int:
     its pivot; the multiplier of a row is -e/lead, e being x's entry and
     lead the row's entry on the pivot.
     """
+    if lanes.ctx.q == 2:
+        # every multiplier is 1: no table is read
+        for row, c in zip(rows, pivots):
+            if x >> (c << 3) & 1:
+                x ^= row
+        return x
     neg_inv, p = lanes.neg_inv, lanes.p
     if p != 2:
         ones = (1 << (width << 3)) // 255       # 1 in each of width lanes
@@ -419,14 +425,6 @@ def reduce_vector(a: CanonicalSubspace, v):
     a's rows may be longer than v if they are zero past it.
     """
     ctx = a.ctx
-    if ctx.q == 2:
-        # every multiplier is 1: this loop reads no table and is faster
-        # than _eliminate on the codec's GF(2) reductions
-        x = _pack_row(v)
-        for row, p in zip(_packed_rows(a), a.pivots):
-            if x >> (p << 3) & 1:
-                x ^= row
-        return list(x.to_bytes(len(v), "little"))
     lanes = _lanes(ctx)
     if lanes is not None:
         x = _eliminate(_pack_row(v), _packed_rows(a), a.pivots, lanes, a.n)
@@ -442,21 +440,9 @@ def reduce_vector(a: CanonicalSubspace, v):
 
 
 def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
-    """rank([A; B]), seeding elimination with A's echelon rows."""
+    """rank([A; B]), the dimension of the sum of A and B."""
     _check_ambient(a, b)
     ctx = a.ctx
-    if ctx.q == 2:
-        # as in reduce_vector, no table: (row, pivot bit) for A's rows,
-        # then B's rows independent of them, each pivoted on its lowest
-        # set bit
-        basis = [(row, p << 3) for row, p in zip(_packed_rows(a), a.pivots)]
-        for x in _packed_rows(b):
-            for row, bit in basis:
-                if x >> bit & 1:
-                    x ^= row
-            if x:
-                basis.append((x, (x & -x).bit_length() - 1))
-        return len(basis)
     lanes = _lanes(ctx)
     if lanes is not None:
         # A's rows, then B's rows independent of them, each pivoted on its
@@ -468,23 +454,7 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
                 rows.append(x)
                 pivots.append((x & -x).bit_length() - 1 >> 3)
         return len(rows)
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    extra = []          # rows independent of A, kept in echelon form
-    extra_piv = []
-    rank = a.k
-    for brow in b.rows:
-        v = reduce_vector(a, brow)
-        for row, p in zip(extra, extra_piv):
-            c = v[p]
-            if c:
-                f = mul(c, inv(row[p]))
-                v = [sub(x, mul(f, y)) if y else x for x, y in zip(v, row)]
-        lead = leading_column(v)
-        if lead < len(v):
-            extra.append(v)
-            extra_piv.append(lead)
-            rank += 1
-    return rank
+    return len(_rref(a.rows + b.rows, a.n, ctx, None)[1])
 
 
 def grassmann_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
@@ -640,22 +610,17 @@ def superspaces_of(a: CanonicalSubspace, k: int):
     return [dual(s) for s in subspaces_of(dual(a), a.n - k)]
 
 
-def pack_subspace(a: CanonicalSubspace) -> int:
-    """Injective encoding of (k, entries) into one int, for distinctness sets.
+def pack_subspace(a: CanonicalSubspace) -> tuple:
+    """A hashable key for distinctness sets: the packed rows over a lane
+    field, the rows otherwise.
 
-    Keys compare subspaces of one ambient space and field.
+    Keys compare subspaces of one ambient space and field; canonical rows
+    are unique to the subspace, so keys are equal exactly when the
+    subspaces are.
     """
-    q = a.ctx.q
-    acc = a.k
-    if q == 2:
-        width = a.n << 3
-        for row in _packed_rows(a):
-            acc = acc << width | row
-        return acc
-    for row in a.rows:
-        for x in row:
-            acc = acc * q + x
-    return acc
+    if _lanes(a.ctx) is not None:
+        return _packed_rows(a)
+    return a.rows
 
 
 # -- textual format ---------------------------------------------------------

@@ -14,7 +14,6 @@ from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
                                       _closing_class, _nonpivot_columns,
                                       _rep_vector, block_class_order,
                                       build_general, build_simple,
-                                      class_index, class_representative,
                                       closing_class_index, dual_code,
                                       iter_simple, read_gray_file,
                                       verify_gray, write_gray_file)
@@ -64,18 +63,6 @@ def test_extension_family_invariants():
                     clipped = L.canonicalize(
                         [r[:-1] for r in ext.rows if not r[-1]], n - 1, ctx)
                     assert clipped == base
-
-
-def test_class_representative():
-    base = L.canonicalize([(1, 1)], 2, F3)
-    v = (2, 2, 2)   # 2*(e2 + member of base)
-    rep = class_representative(base, v)
-    assert rep == (0, 0, 1)
-    # same class, same representative
-    w = tuple(F3.add(x, y) for x, y in zip(v, (1, 1, 0)))
-    assert class_representative(base, w) == rep
-    with pytest.raises(ValueError):
-        class_representative(base, (1, 0, 0))
 
 
 def test_build_simple_degenerate():
@@ -163,6 +150,14 @@ def test_build_general_rejects_bad_orders():
         build_general(3, 1, F2, ScriptedChoiceSource({(3, 1): {"j": 9}}))
     with pytest.raises(ConstraintViolation):
         build_general(3, 1, F2, ScriptedChoiceSource({(3, 1): {"ell": 3}}))
+    # fewer orders than blocks, and insertion choices that are not ints
+    with pytest.raises(ConstraintViolation):
+        build_general(4, 2, F2, ScriptedChoiceSource(
+            {(4, 2): {"orders": [[0, 3, 1, 2]]}}))
+    with pytest.raises(ConstraintViolation):
+        build_general(3, 1, F2, ScriptedChoiceSource({(3, 1): {"j": "0"}}))
+    with pytest.raises(ConstraintViolation):
+        build_general(3, 1, F2, ScriptedChoiceSource({(3, 1): {"ell": 1.0}}))
 
 
 def test_scripted_census_3_1_2_meets_lower_bound():
@@ -301,6 +296,21 @@ def class_vectors(base, v):
             for alpha in range(1, ctx.q) for w in span]
 
 
+def class_of(base, v):
+    """Class index of a vector v of W^(base.n+1) with nonzero last entry:
+    v scaled to end in 1 and cleared on base's pivots one field call at a
+    time, its digits read off the other columns."""
+    ctx = base.ctx
+    f = ctx.inv(v[-1])
+    v = [ctx.mul(f, x) for x in v]
+    for row, p in zip(base.rows, base.pivots):
+        if v[p]:
+            g = ctx.mul(v[p], ctx.inv(row[p]))
+            v = [ctx.sub(x, ctx.mul(g, y)) for x, y in zip(v, row + (0,))]
+    return sum(v[r] * ctx.q ** i
+               for i, r in enumerate(_nonpivot_columns(base)))
+
+
 def test_allowed_class_indices_match_brute_force():
     # both orders of every consecutive (and the wraparound) base pair of
     # the simple code, every class of the earlier base
@@ -312,7 +322,7 @@ def test_allowed_class_indices_match_brute_force():
         for a, b in zip(bases, bases[1:] + bases[:1]):
             for prev, cur in ((a, b), (b, a)):
                 for rep in representatives(prev):
-                    brute = {class_index(cur, class_representative(cur, vec))
+                    brute = {class_of(cur, vec)
                              for vec in class_vectors(prev, rep)}
                     assert len(brute) == q
                     assert _allowed_class_indices(prev, rep, cur) == brute

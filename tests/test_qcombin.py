@@ -1,6 +1,7 @@
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grayspace.field import field_from_order
 from grayspace.linalg import enumerate_subspaces
@@ -57,6 +58,26 @@ def test_matches_basis_count_quotient():
         for n in range(1, 13):
             for k in range(n + 1):
                 assert gaussian(n, k, q) == basis_count_quotient(n, k, q)
+
+
+def _product(factors):
+    """Product by pairs: balanced multiplications of big ints are cheap."""
+    factors = list(factors) or [1]
+    while len(factors) > 1:
+        factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.sampled_from((2, 3, 4, 5, 8, 256)), st.data())
+def test_basis_count_quotient_up_to_n_512(q, data):
+    n = data.draw(st.integers(0, 512))
+    k = data.draw(st.integers(0, n))
+    # gaussian * (bases of a k-space) == (ordered k-tuples of independent
+    # vectors): the quotient, exactly, without a long division
+    den = _product(q ** k - q ** i for i in range(k))
+    num = _product(q ** n - q ** i for i in range(k))
+    assert gaussian(n, k, q) * den == num
 
 
 def test_step_down():
