@@ -332,7 +332,8 @@ def _build_general(n, k, ctx, source, cache):
         succ = bases[(i + 1) % nb] if nb > 1 else None
         order = source.extension_order(n, k, i, width, base, succ,
                                        allowed_first, allowed_last)
-        if sorted(order) != list(range(width)):
+        if (not all(isinstance(c, int) for c in order)
+                or sorted(order) != list(range(width))):
             raise ConstraintViolation(
                 "block %d order is not a permutation of the %d classes"
                 % (i, width))

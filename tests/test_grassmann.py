@@ -150,10 +150,15 @@ def test_build_general_rejects_bad_orders():
         build_general(3, 1, F2, ScriptedChoiceSource({(3, 1): {"j": 9}}))
     with pytest.raises(ConstraintViolation):
         build_general(3, 1, F2, ScriptedChoiceSource({(3, 1): {"ell": 3}}))
-    # fewer orders than blocks, and insertion choices that are not ints
+    # fewer orders than blocks, and classes or insertion choices that are
+    # not ints
     with pytest.raises(ConstraintViolation):
         build_general(4, 2, F2, ScriptedChoiceSource(
             {(4, 2): {"orders": [[0, 3, 1, 2]]}}))
+    for order in ([0, "1", 2, 3], [0, 1.0, 2, 3]):
+        with pytest.raises(ConstraintViolation):
+            build_general(3, 1, F2, ScriptedChoiceSource(
+                {(3, 1): {"orders": [order]}}))
     with pytest.raises(ConstraintViolation):
         build_general(3, 1, F2, ScriptedChoiceSource({(3, 1): {"j": "0"}}))
     with pytest.raises(ConstraintViolation):
