@@ -111,9 +111,8 @@ def cmd_decode(args) -> int:
     ctx = _field(args.q)
     _check_nk(args.n, args.k)
     params = codec.CodecParams(args.n, args.k, ctx)
-    text = _read_in(args.input)
     try:
-        sub, was_canonical = parse_subspace(text, ctx)
+        sub, was_canonical = parse_subspace(_read_in(args.input), ctx)
     except ValueError as exc:
         raise CliError("malformed matrix: %s" % exc, EXIT_PARAMS)
     if not was_canonical:
@@ -193,9 +192,8 @@ def cmd_nonexist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = _read_in(args.file)
     try:
-        seq = grassmann_gray.read_gray_file(io.StringIO(text))
+        seq = grassmann_gray.read_gray_file(io.StringIO(_read_in(args.file)))
         report = grassmann_gray.verify_gray(seq)
     except ValueError as exc:
         raise CliError("parse failure: %s" % exc, EXIT_PARSE)

@@ -3,8 +3,10 @@
 For even n no optimal code exists; nonexistence_certificate evaluates the
 counting argument exactly.  For n = 1, 3, 5 cyclic optimal codes are
 constructed: the middle levels are covered by expanding a short necklace
-path under multiplication by a primitive element of GF(q^n), and the
+path under multiplication by a primitive element alpha of GF(q^n), and the
 trivial and full spaces are spliced in by local subsequence reversals.
+Each orbit is listed once, by orbit_of, and every alpha-multiple the
+constructions need is read off it.
 The codes are GraySequence objects with k None, so grassmann_gray's
 verify_gray checks them and its GRAY/PROJ reader and writer store them.
 """
@@ -35,11 +37,16 @@ class Necklace:
 class NecklacePath:
     """Alternating distinct-necklace reps X_0,Y_0,...,X_{s-1},Y_{s-1}.
 
-    ell is the closing exponent: alpha^ell X_0 is contained in Y_{s-1} and
-    gcd(ell, orbit size) = 1.
+    orbits[j] is the orbit of reps[j], starting at it: orbits[j][t] is
+    alpha^t reps[j].  ell is the closing exponent: alpha^ell X_0 is
+    contained in Y_{s-1} and gcd(ell, orbit size) = 1.
     """
-    reps: tuple
+    orbits: tuple
     ell: int
+
+    @property
+    def reps(self):
+        return tuple(orbit[0] for orbit in self.orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +118,19 @@ def multiply_subspace(sub: CanonicalSubspace, ctx_qn: FieldContext,
     ground = _ground(ctx_qn)
     q = ground.q
     n = ctx_qn.degree
+    if sub.ctx is not ground:
+        raise ValueError("subspace field is not the extension's base")
     if sub.n != n:
         raise ValueError("ambient dimension does not match the extension")
+    if not 1 <= elem < ctx_qn.q:
+        raise ValueError("multiplier must lie in 1..%d" % (ctx_qn.q - 1))
     rows = [digits_of(ctx_qn.mul(undigits(r, q), elem), q, n)
             for r in sub.rows]
     return canonicalize(rows, n, ground)
 
 
 def orbit_of(sub: CanonicalSubspace, ctx_qn: FieldContext, alpha: int):
+    """[sub, alpha sub, alpha^2 sub, ...] up to the first repeat."""
     orbit = [sub]
     cur = multiply_subspace(sub, ctx_qn, alpha)
     while cur != sub:
@@ -128,7 +140,8 @@ def orbit_of(sub: CanonicalSubspace, ctx_qn: FieldContext, alpha: int):
 
 
 def necklace_decompose(n: int, dim: int, ctx_qn: FieldContext):
-    """All necklaces of dim-dimensional subspaces of GF(q)^n."""
+    """All necklaces of dim-dimensional subspaces of GF(q)^n; each orbit
+    starts at its representative, so orbit[t] is alpha^t times it."""
     ground = _ground(ctx_qn)
     if ctx_qn.degree != n:
         raise ValueError("extension degree %d != ambient %d"
@@ -140,10 +153,10 @@ def necklace_decompose(n: int, dim: int, ctx_qn: FieldContext):
         if pack_subspace(sub) in seen:
             continue
         orbit = orbit_of(sub, ctx_qn, alpha)
-        for member in orbit:
-            seen.add(pack_subspace(member))
-        rep = min(orbit, key=lambda s: s.rows)
-        necklaces.append(Necklace(rep, tuple(orbit), len(orbit)))
+        seen.update(map(pack_subspace, orbit))
+        t = min(range(len(orbit)), key=lambda i: orbit[i].rows)
+        orbit = tuple(orbit[t:] + orbit[:t])
+        necklaces.append(Necklace(orbit[0], orbit, len(orbit)))
     necklaces.sort(key=lambda nk: nk.representative.rows)
     return necklaces
 
@@ -153,92 +166,88 @@ def necklace_decompose(n: int, dim: int, ctx_qn: FieldContext):
 
 
 def _candidates(subs, used, index_of):
-    """(necklace, member) for the subs in unused necklaces, sorted."""
+    """(necklace, position) of the subs in unused necklaces, sorted by
+    necklace, then rows."""
     out = []
     for sub in subs:
-        i = index_of.get(pack_subspace(sub))
-        if i is not None and i not in used:
-            out.append((i, sub))
-    out.sort(key=lambda t: (t[0], t[1].rows))
-    return out
+        i, t = index_of[pack_subspace(sub)]
+        if i not in used:
+            out.append((i, sub.rows, t))
+    return [(i, t) for i, _, t in sorted(out)]
 
 
 def search_necklace_path(n: int, ctx_qn: FieldContext) -> NecklacePath:
     """Deterministic backtracking for the middle-levels necklace path."""
     if n not in (3, 5):
         raise ValueError("path search is implemented for n in {3, 5}")
-    ground = _ground(ctx_qn)
-    q = ground.q
+    q = _ground(ctx_qn).q
     m = (n - 1) // 2
-    lower = necklace_decompose(n, m, ctx_qn)
-    upper = necklace_decompose(n, m + 1, ctx_qn)
-    s = len(lower)
-    assert len(upper) == s
+    levels = (necklace_decompose(n, m, ctx_qn),
+              necklace_decompose(n, m + 1, ctx_qn))
+    s = len(levels[0])
+    assert len(levels[1]) == s
     size = q_number(n, q)
-    alpha = ctx_qn.primitive_index()
-    lower_index, upper_index = {}, {}
-    for necklaces, index_of in ((lower, lower_index), (upper, upper_index)):
+    # every member of both levels -> (necklace, position in its orbit);
+    # keys of different dimensions never collide
+    index_of = {}
+    for necklaces in levels:
         for i, nk in enumerate(necklaces):
-            for member in nk.orbit:
-                index_of[pack_subspace(member)] = i
+            for t, member in enumerate(nk.orbit):
+                index_of[pack_subspace(member)] = (i, t)
 
-    x0 = lower[0].representative
-    path = [x0]
-    used_lower = {0}
-    used_upper = set()
+    x0_orbit = levels[0][0].orbit
+    path = [(x0_orbit, 0)]      # (orbit, position) of each member
+    used = ({0}, set())         # necklaces visited on each level
 
     def close(y_last):
-        cur = x0
         for ell in range(1, size):
-            cur = multiply_subspace(cur, ctx_qn, alpha)
-            if gcd(ell, size) == 1 and projective_adjacent(cur, y_last):
+            if (gcd(ell, size) == 1
+                    and projective_adjacent(x0_orbit[ell], y_last)):
                 return ell
         return None
 
     def extend():
+        orbit, pos = path[-1]
+        last = orbit[pos]
         if len(path) == 2 * s:
-            return close(path[-1]) is not None
-        last = path[-1]
-        if len(path) % 2 == 1:
-            used = used_upper
-            cands = _candidates(superspaces_of(last, last.k + 1), used,
-                                upper_index)
+            return close(last) is not None
+        level = len(path) % 2
+        if level:
+            subs = superspaces_of(last, last.k + 1)
         else:
-            used = used_lower
-            cands = _candidates(subspaces_of(last, last.k - 1), used,
-                                lower_index)
-        for i, sub in cands:
-            used.add(i)
-            path.append(sub)
+            subs = subspaces_of(last, last.k - 1)
+        for i, t in _candidates(subs, used[level], index_of):
+            used[level].add(i)
+            path.append((levels[level][i].orbit, t))
             if extend():
                 return True
             path.pop()
-            used.discard(i)
+            used[level].discard(i)
         return False
 
     if not extend():
         raise RuntimeError("necklace path search exhausted at n=%d q=%d; "
                            "this contradicts the middle-levels existence "
                            "result" % (n, q))
-    return NecklacePath(tuple(path), close(path[-1]))
+    orbit, pos = path[-1]
+    ell = close(orbit[pos])
+    return NecklacePath(tuple(o[p:] + o[:p] for o, p in path), ell)
+
+
+def _expand(orbits, ell, start=0):
+    """Each orbit's alpha^(t ell) multiple, block by block, t >= start."""
+    size = len(orbits[0])
+    return [orbit[t * ell % size] for t in range(start, size)
+            for orbit in orbits]
 
 
 def expand_path(path: NecklacePath, ctx_qn: FieldContext) -> GraySequence:
     """Concatenate L, alpha^ell L, ..., alpha^((N-1) ell) L."""
     ground = _ground(ctx_qn)
-    n = ctx_qn.degree
-    alpha = ctx_qn.primitive_index()
-    sizes = {len(orbit_of(r, ctx_qn, alpha)) for r in path.reps}
-    if len(sizes) != 1:
+    if len({len(orbit) for orbit in path.orbits}) != 1:
         raise ValueError("visited necklaces have unequal orbit sizes")
-    size = sizes.pop()
-    step = ctx_qn.pow(alpha, path.ell)
-    items = list(path.reps)
-    block = list(path.reps)
-    for _ in range(size - 1):
-        block = [multiply_subspace(sub, ctx_qn, step) for sub in block]
-        items.extend(block)
-    return GraySequence(n, None, ground, tuple(items), True)
+    return GraySequence(ctx_qn.degree, None, ground,
+                        tuple(_expand(path.orbits, path.ell)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +280,13 @@ def build_full_n5(ctx: FieldContext, ctx_qn: FieldContext) -> GraySequence:
     """The (5;q) construction: reversal splicing around the first blocks."""
     _check_tower(ctx, ctx_qn, 5)
     path = search_necklace_path(5, ctx_qn)
-    xs = list(path.reps[0::2])
-    ys = list(path.reps[1::2])
+    xs, ys = path.orbits[0::2], path.orbits[1::2]
     s = len(xs)
     ell = path.ell
     alpha = ctx_qn.primitive_index()
-    step = ctx_qn.pow(alpha, ell)
-    size = q_number(5, ctx.q)
-
-    def shift(sub):
-        return multiply_subspace(sub, ctx_qn, step)
-
-    meet = intersect(xs[0], xs[1])
-    join = subspace_sum(ys[0], ys[1])
-    assert meet.k == 1 and join.k == 4
+    meet = orbit_of(intersect(xs[0][0], xs[1][0]), ctx_qn, alpha)
+    join = orbit_of(subspace_sum(ys[0][0], ys[1][0]), ctx_qn, alpha)
+    assert meet[0].k == 1 and join[0].k == 4
 
     # L' = X_0, X_0^X_1, X_1, Y_0, Y_0+Y_1, Y_1, X_2, Y_2, ..., X_{s-1}, Y_{s-1}
     lprime = [xs[0], meet, xs[1], ys[0], join, ys[1]]
@@ -292,17 +294,13 @@ def build_full_n5(ctx: FieldContext, ctx_qn: FieldContext) -> GraySequence:
         lprime.extend((xs[i], ys[i]))
 
     # L* replaces the first two blocks of the expansion
-    lstar = [xs[0], meet, trivial_subspace(5, ctx), shift(meet), shift(xs[0])]
+    lstar = [xs[0][0], meet[0], trivial_subspace(5, ctx), meet[ell],
+             xs[0][ell]]
     for i in range(s - 1, 0, -1):
-        lstar.extend((ys[i], xs[i]))
-    lstar.extend((ys[0], join, full_subspace(5, ctx), shift(join),
-                  shift(ys[0])))
+        lstar.extend((ys[i][0], xs[i][0]))
+    lstar.extend((ys[0][0], join[0], full_subspace(5, ctx), join[ell],
+                  ys[0][ell]))
     for i in range(1, s):
-        lstar.extend((shift(xs[i]), shift(ys[i])))
-
-    items = list(lstar)
-    block = [shift(sub) for sub in lprime]
-    for _ in range(2, size):
-        block = [shift(sub) for sub in block]
-        items.extend(block)
-    return GraySequence(5, None, ctx, tuple(items), True)
+        lstar.extend((xs[i][ell], ys[i][ell]))
+    return GraySequence(5, None, ctx, tuple(lstar + _expand(lprime, ell, 2)),
+                        True)

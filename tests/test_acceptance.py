@@ -7,6 +7,7 @@ the criterion.
 """
 
 import itertools
+import random
 import statistics
 import time
 from math import prod
@@ -188,39 +189,43 @@ def test_criterion_7_count_lower_bound():
     report(7, ok, "(%d distinct codes, bound %d)" % (len(seen), bound))
 
 
-def bench_decode(n, samples, reps=5):
-    ctx = field_from_order(2)
-    params = CodecParams(n, 4, ctx)
-    total = params.size
-    import random
-    rng = random.Random(n)
+def bench_decode(ns, samples, reps=5):
+    """Median decode and decode_fast seconds at (n,4,2), one list entry
+    per n.
 
-    def timed(fn, sub):
+    The n are timed round-robin, one sample of each in turn, so a change
+    of machine speed during the run hits every n alike.  Each n draws its
+    samples from its own random.Random(n).
+    """
+    ctx = field_from_order(2)
+    params = [CodecParams(n, 4, ctx) for n in ns]
+    rngs = [random.Random(n) for n in ns]
+
+    def timed(fn, p, sub):
         # best of a few repetitions per sample to suppress timer noise
         best = float("inf")
         for _ in range(reps):
             t0 = time.perf_counter()
-            fn(params, sub)
+            fn(p, sub)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    slow, fast = [], []
+    slow, fast = [[] for _ in ns], [[] for _ in ns]
     for _ in range(samples):
-        sub = encode(params, rng.randrange(total))
-        assert decode(params, sub) == decode_fast(params, sub)
-        slow.append(timed(decode, sub))
-        fast.append(timed(decode_fast, sub))
-    return statistics.median(slow), statistics.median(fast)
+        for p, rng, s, f in zip(params, rngs, slow, fast):
+            sub = encode(p, rng.randrange(p.size))
+            assert decode(p, sub) == decode_fast(p, sub)
+            s.append(timed(decode, p, sub))
+            f.append(timed(decode_fast, p, sub))
+    return ([statistics.median(s) for s in slow],
+            [statistics.median(f) for f in fast])
 
 
 def test_criterion_8_performance_trends():
     start = time.monotonic()
-    medians = []
-    for n in (16, 32, 64, 128):
-        slow, _ = bench_decode(n, 20)
-        medians.append(slow)
+    medians, _ = bench_decode((16, 32, 64, 128), 20)
     monotone = all(a <= b for a, b in zip(medians, medians[1:]))
-    slow256, fast256 = bench_decode(256, 20)
+    (slow256,), (fast256,) = bench_decode((256,), 20)
     elapsed = time.monotonic() - start
     ok = monotone and fast256 <= slow256 and elapsed < 60.0
     report(8, ok, "(medians %s, n=256 %.4fs vs %.4fs)"

@@ -79,6 +79,11 @@ def test_decode_malformed(capsys, tmp_path):
     code, _, err = run(capsys, "decode", "--n", "4", "--k", "2", "--q", "2",
                        "--input", str(matrix))
     assert code == 2
+    # bytes that are not UTF-8
+    matrix.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x80 1 0\n")
+    code, _, err = run(capsys, "decode", "--n", "4", "--k", "2", "--q", "2",
+                       "--input", str(matrix))
+    assert code == 2 and "malformed matrix" in err
 
 
 def test_gen_and_verify(capsys, tmp_path):
@@ -159,6 +164,9 @@ def test_verify_parse_failure(capsys, tmp_path):
     bad.write_text("GRAY 4 2 1000000000000000003 35 1\n")
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 4 and "exceeds bound" in err
+    bad.write_bytes(b"GRAY 3 1 2 7 1\n\n\xff\xfe\x80\x00\n")
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 4 and out == "" and "parse failure" in err
     good = tmp_path / "good.gray"
     assert run(capsys, "gen", "--n", "3", "--k", "1", "--q", "2",
                "--out", str(good))[0] == 0

@@ -88,6 +88,33 @@ def test_multiply_subspace_is_action():
     assert cur == sub
 
 
+def test_multiply_subspace_rejects_bad_input():
+    ctx, ctx_qn = tower(2, 5)
+    sub = L.simple_subspace(5, 2, ctx)
+    for elem in (0, -1, ctx_qn.q):
+        with pytest.raises(ValueError):
+            multiply_subspace(sub, ctx_qn, elem)
+    assert multiply_subspace(sub, ctx_qn, ctx_qn.q - 1).k == 2
+    # a GF(2) subspace with an extension of GF(3)
+    _, ctx3_qn = tower(3, 5)
+    with pytest.raises(ValueError):
+        multiply_subspace(sub, ctx3_qn, ctx3_qn.primitive_index())
+
+
+def test_path_orbits_are_alpha_multiples():
+    # the path reads alpha-multiples off its orbits; multiplying is the
+    # oracle
+    for n, q in [(3, 2), (3, 3), (3, 4), (3, 9), (5, 2)]:
+        ctx, ctx_qn = tower(q, n)
+        alpha = ctx_qn.primitive_index()
+        path = search_necklace_path(n, ctx_qn)
+        for orbit in path.orbits:
+            assert len(orbit) == q_number(n, q)
+            for t, sub in enumerate(orbit):
+                assert (orbit[(t + 1) % len(orbit)]
+                        == multiply_subspace(sub, ctx_qn, alpha))
+
+
 def test_search_necklace_path_n3():
     for q in (2, 3):
         ctx, ctx_qn = tower(q, 3)
@@ -141,7 +168,7 @@ def test_build_full_n3():
 
 
 def test_build_full_n5():
-    for q, length in [(2, 374), (3, 2664)]:
+    for q, length in [(2, 374), (3, 2664), (4, 12278)]:
         ctx, ctx_qn = tower(q, 5)
         seq = build_full_n5(ctx, ctx_qn)
         assert len(seq) == length

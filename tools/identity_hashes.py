@@ -1,8 +1,8 @@
 """Output-identity hashes of the codec, the GRAY/PROJ writers and verify.
 
 Run from anywhere as `python3 tools/identity_hashes.py`; it imports
-grayspace from the `src/` beside this directory.  It prints six lines,
-each a label and the first 16 hex digits of a sha256:
+grayspace from the `src/` beside this directory.  It prints seven
+lines, each a label and the first 16 hex digits of a sha256:
 
   grid      encode, decode, decode_fast, encode_via_dual and decode_via_dual
             for every index of the acceptance suite's criterion-3 grid
@@ -23,12 +23,15 @@ each a label and the first 16 hex digits of a sha256:
             adjacency_failures, first_nonadjacent, wraparound_ok) on the
             stream, on a copy with two items swapped and on one with an
             item repeated, for criterion 2's grid (q <= 4, n <= 6), q in
-            5, 7, 8, 9 up to n = 4 and k = 1 at n = 5, 6.
+            5, 7, 8, 9 up to n = 4 and k = 1 at n = 5, 6;
+  proj      the bytes of `proj --n 5` at q = 4, 5 and of `proj --n 3` at
+            q = 5, 7, 8, 9 (GF(9) is a tuple field): field sizes the files
+            line does not reach.
 
 Two trees whose lines are equal give identical indices, matrices, file
 bytes and verify verdicts on these inputs.  The grid line takes about a
 minute, and so does the stream line; so does the wide line on a tree
-whose rref runs on tuples.
+whose rref runs on tuples.  The proj line takes a few seconds.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ STREAM = ([(n, k, q) for q in (2, 3, 4) for n in range(7)
              for k in range(n + 1)]
           + [(n, 1, q) for q in (5, 7, 8, 9) for n in (5, 6)])
 PROJ = [(n, q) for n in (1, 3, 5) for q in (2, 3)] + [(3, 4)]
+PROJ_WIDE = [(5, 4), (5, 5), (3, 5), (3, 7), (3, 8), (3, 9)]
 
 
 def digest(lines):
@@ -174,12 +178,24 @@ def write_files(tmp):
                      ["proj", "--n", str(n), "--q", str(q)]))
     files = []
     for name, argv in runs:
-        path = tmp / name
-        code, _, err = run_cli(argv + ["--out", str(path)])
-        if code:
-            raise SystemExit("%s exited %d: %s" % (name, code, err))
-        files.append((name, path))
+        files.append((name, write_file(tmp / name, argv)))
     return files
+
+
+def write_file(path, argv):
+    """Run a gen/proj argv with --out path; return path."""
+    code, _, err = run_cli(argv + ["--out", str(path)])
+    if code:
+        raise SystemExit("%s exited %d: %s" % (path.name, code, err))
+    return path
+
+
+def proj_lines(tmp):
+    for n, q in PROJ_WIDE:
+        path = write_file(tmp / ("proj-%d-%d" % (n, q)),
+                          ["proj", "--n", str(n), "--q", str(q)])
+        yield "%d %d %s" % (n, q, hashlib.sha256(path.read_bytes())
+                            .hexdigest())
 
 
 def damaged(text):
@@ -228,6 +244,8 @@ def main():
     print("verify", digest(verify_lines))
     print("wide  ", digest(wide_lines()))
     print("stream", digest(stream_lines()))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("proj  ", digest(proj_lines(Path(tmp))))
 
 
 if __name__ == "__main__":
