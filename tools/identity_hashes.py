@@ -176,10 +176,7 @@ def write_files(tmp):
     for n, q in PROJ:
         runs.append(("proj-%d-%d" % (n, q),
                      ["proj", "--n", str(n), "--q", str(q)]))
-    files = []
-    for name, argv in runs:
-        files.append((name, write_file(tmp / name, argv)))
-    return files
+    return [(name, write_file(tmp / name, argv)) for name, argv in runs]
 
 
 def write_file(path, argv):
