@@ -9,24 +9,34 @@ subspace equality is defined as equality of canonical matrices.
 
 The 0 x n empty matrix is the canonical form of the trivial subspace.
 
-Lane fields.  Over every field of characteristic 2 with q <= 256 and every
-prime field with p < 128 the kernels rref and tau (and so canonicalize,
-dual, subspace_sum, intersect and parse_subspace), reduce_vector (and so
-contains) and stacked_rank, the scaling of scale_vector and
-extend_subspace, and the new rows of extension_block work on packed rows:
-one Python int per row, int.from_bytes(bytearray(row), "little"), so
-column c is the byte lane at bits 8c..8c+7 and a row costs a few C-speed
-operations, not one field call per entry.
-- Scaling by f is bytes.translate with the 256-byte table e -> f*e, one
-  table per (field, f), built the first time f is used.
-- In characteristic 2, row addition is XOR.  GF(2) is the case where every
-  multiplier is 1, so its loops read no table.
-- In a prime field, rows add lane by lane and every lane that reached p
-  then loses p: x -= (((x + (128-p)*ONES) & (0x80*ONES)) >> 7) * p, with
-  ONES = 1 in every lane.  This holds as long as every lane stays below p
-  between additions: two residues below p sum to at most 2p - 2 <= 252,
-  so adding 128 - p sets bit 7 exactly when the sum reached p and no lane
-  carries into its neighbour.
+Packed rows.  The kernels rref and tau (and so canonicalize, dual,
+subspace_sum, intersect, parse_subspace and enumerate_subspaces),
+reduce_vector (and so contains), stacked_rank and extension_block work on
+one row form for every field: one Python int per row, column c in the
+lane at bit c << sh.  sh is 3 for q <= 256, so a row is
+int.from_bytes(bytearray(row), "little") and column c is the byte at bits
+8c..8c+7; above 256 it is 4, 16-bit lanes, which hold every field up to
+field.MAX_FIELD_SIZE.  The field's _Lanes holds the lane width and the
+arithmetic, and only _eliminate and scaling differ from field to field:
+- Scaling by f is bytes.translate with the 256-byte table e -> f*e for
+  q <= 256, one table per (field, f), built the first time f is used;
+  above 256 it goes entry by entry.
+- Rows add lane by lane over the lanewise fields, those with byte lanes
+  of characteristic 2 or prime below 128.  In characteristic 2 row
+  addition is XOR; GF(2) is the case where every multiplier is 1, so its
+  loops read no table.  In a prime field, rows add lane by lane and every
+  lane that reached p then loses p:
+  x -= (((x + (128-p)*ONES) & (0x80*ONES)) >> 7) * p, with ONES = 1 in
+  every lane.  This holds as long as every lane stays below p between
+  additions: two residues below p sum to at most 2p - 2 <= 252, so adding
+  128 - p sets bit 7 exactly when the sum reached p and no lane carries
+  into its neighbour.
+- Every other field adds entry by entry with field calls on the unpacked
+  rows: the odd extension fields (q = 9, 25, 27, ..., 243), whose
+  addition works digit by digit, not lane by lane; the primes 131..251,
+  whose sums overflow a byte; and every q > 256, whose rows are scaled
+  entry by entry anyway.  reduce_vector hands their vectors to that loop
+  unpacked.
 - rref and tau go row by row, not column by column: x & -x gives a row's
   lowest nonzero lane and x.bit_length() its top one, so neither scans
   empty columns.
@@ -34,20 +44,15 @@ An entry outside range(q) would spill into the next lane, and a row
 longer than n past it, so rref, contains, canonicalize and parse_subspace
 reject both (_check_entries).
 
-Every other field takes the tuple path, one field call per entry and a
-column loop in rref and tau: the odd extension fields (q = 9, 25, 27, ...,
-243), whose addition works digit by digit, not lane by lane; the primes
-131..251, whose sums overflow a byte; and every q > 256.  pack_subspace
-keys a subspace by the rows it already holds: packed over a lane field,
-tuples otherwise.
-
 A CanonicalSubspace keeps its packed rows in the `packed` slot: filled by
 canonicalize, dual and enumerate_subspaces, else built on first use; tuples
-stay the form of every result and of the file format.
-Zero columns added on the right leave every packed int as it is, so
-_append_zero_col, extend_subspace and extension_block, which derive a
-subspace by padding or by adding one row, pass the ints it shares with
-its source on unchanged.  No other module reads or builds packed ints.
+stay the form of every result and of the file format.  pack_subspace keys
+a subspace by its packed rows.
+Zero columns added on the right leave every packed int as it is, at
+either lane width, so _append_zero_col, extend_subspace and
+extension_block, which derive a subspace by padding or by adding one row,
+pass the ints it shares with its source on unchanged.  No other module
+reads or builds packed ints.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, compress, count, product
+from struct import pack, unpack
 
 from .field import FieldContext, field_from_order
 
@@ -70,7 +76,7 @@ class CanonicalSubspace:
         self.rows = rows
         self.pivots = pivots
         self.k = len(rows)
-        self.packed = packed    # lane fields: rows as ints, None until built
+        self.packed = packed    # rows as ints, None until built
 
     def __eq__(self, other):
         return (isinstance(other, CanonicalSubspace)
@@ -87,49 +93,85 @@ class CanonicalSubspace:
 
 
 class _Lanes(dict):
-    """Byte-lane arithmetic of one lane field (see the module docstring).
+    """The packed-row arithmetic of one field (see the module docstring).
 
-    self[f] is the translate table e -> f*e, built the first time f is
-    used; p is the characteristic and neg_inv[a] = -1/a (0 for a = 0).
+    sh is 3 (byte lanes) for q <= 256 and 4 (16-bit lanes) above, and
+    mask holds one lane's bits.  lanewise tells whether rows add lane by
+    lane (XOR in characteristic 2, the SWAR sum of a prime below 128, byte
+    lanes only) or entry by entry; over a lanewise field neg_inv[a] = -1/a
+    (0 for a = 0).  For q <= 256, self[f] is the translate table e -> f*e,
+    built the first time f is used.
     """
 
-    __slots__ = ("ctx", "p", "neg_inv")
+    __slots__ = ("ctx", "p", "sh", "mask", "lanewise", "neg_inv")
 
     def __init__(self, ctx: FieldContext):
         super().__init__()
+        q = ctx.q
         self.ctx, self.p = ctx, ctx.p
-        self.neg_inv = bytes([0] + [ctx.neg(ctx.inv(a))
-                                    for a in range(1, ctx.q)])
+        self.sh = 3 if q <= 256 else 4
+        self.mask = (1 << (1 << self.sh)) - 1
+        self.lanewise = q <= 256 and (ctx.p == 2 or ctx.m == 1 and q < 128)
+        if self.lanewise:
+            self.neg_inv = bytes([0] + [ctx.neg(ctx.inv(a))
+                                        for a in range(1, q)])
 
     def __missing__(self, f):
         mul, q = self.ctx.mul, self.ctx.q
         table = self[f] = bytes([mul(f, e) for e in range(q)]) + bytes(256 - q)
         return table
 
+    def pack(self, row) -> int:
+        """row as one int, entry c in lane c."""
+        if self.sh == 3:
+            return int.from_bytes(bytearray(row), "little")
+        return int.from_bytes(pack("<%dH" % len(row), *row), "little")
+
+    def unpack(self, x: int, n: int) -> tuple:
+        """The first n entries of the packed row x."""
+        if self.sh == 3:
+            return tuple(x.to_bytes(n, "little"))
+        return unpack("<%dH" % n, x.to_bytes(2 * n, "little"))
+
+    def scale(self, x: int, f: int, n: int) -> int:
+        """f times the packed row x of n lanes."""
+        if self.sh == 3:
+            return int.from_bytes(x.to_bytes(n, "little").translate(self[f]),
+                                  "little")
+        mul = self.ctx.mul
+        return self.pack([mul(f, e) for e in self.unpack(x, n)])
+
 
 @lru_cache(maxsize=None)
-def _lanes(ctx: FieldContext):
-    """ctx's _Lanes, built once per field; None for a tuple field."""
-    if ctx.q <= 256 and (ctx.p == 2 or ctx.m == 1 and ctx.p < 128):
-        return _Lanes(ctx)
-    return None
+def _lanes(ctx: FieldContext) -> _Lanes:
+    """ctx's _Lanes, built once per field."""
+    return _Lanes(ctx)
 
 
 def _check_entries(rows, q: int, n: int | None = None):
     """ValueError unless every entry of rows lies in range(q) and, if n is
-    given, every row has length n.
+    given, every row has length n; TypeError for an entry that is not an
+    int.
 
     The distinct entries, collected at C speed, are few.
     """
     if n is not None and rows and set(map(len, rows)) != {n}:
         raise ValueError("rows must have length %d" % n)
     entries = set().union(*rows)
+    # a float, Fraction or other number among ints makes their sum one
+    if type(sum(entries)) is not int:
+        raise TypeError("entries must be ints")
     if entries and not (0 <= min(entries) and max(entries) < q):
         raise ValueError("entries must lie in range(%d)" % q)
 
 
-def _unpack(packed, n: int):
-    return tuple([tuple(x.to_bytes(n, "little")) for x in packed])
+def _pack_rows(rows, lanes: _Lanes) -> list:
+    if lanes.sh == 3:
+        # byte lanes inlined: this runs once per row of every packed item,
+        # and a bytearray is built from a row in about half the time of
+        # bytes
+        return [int.from_bytes(bytearray(r), "little") for r in rows]
+    return list(map(lanes.pack, rows))
 
 
 def rref(rows, n: int, ctx: FieldContext):
@@ -137,48 +179,14 @@ def rref(rows, n: int, ctx: FieldContext):
 
     Returns (rows, pivots); zero rows are dropped, leading coefficients are
     1 and are the only nonzero entries in their columns.  Rows must have
-    length n and entries in range(q) (ValueError).
+    length n and entries in range(q) (ValueError), and entries must be
+    ints (TypeError).
     """
     rows = list(rows)
     _check_entries(rows, ctx.q, n)
     lanes = _lanes(ctx)
-    reduced, pivots = _rref(rows, n, ctx, lanes)
-    if lanes is not None:
-        reduced = list(_unpack(reduced, n))
-    return reduced, pivots
-
-
-def _rref(rows, n, ctx, lanes):
-    """rref of checked rows: packed rows over a lane field, else tuples."""
-    if lanes is not None:
-        return _rref_lanes(map(_pack_row, rows), n, lanes)
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        row = work[rank]
-        f = inv(row[col])
-        if f != 1:
-            work[rank] = row = [mul(f, x) for x in row]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                g = work[i][col]
-                other = work[i]
-                work[i] = [sub(x, mul(g, y)) for x, y in zip(other, row)]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return [tuple(r) for r in work[:rank]], tuple(pivots)
+    reduced, pivots = _rref(_pack_rows(rows, lanes), n, lanes)
+    return [lanes.unpack(x, n) for x in reduced], pivots
 
 
 def leading_column(row) -> int:
@@ -193,37 +201,7 @@ def last_nonzero(row) -> int:
     return len(row) - 1 - next(compress(count(), reversed(row)), len(row))
 
 
-def _tau(work, n, ctx):
-    """tau on the full-width rows of a full-rank rref matrix, from column
-    n-1 down: it keeps the row span and the pivots, and its output is in
-    row echelon form but not reduced.
-
-    In each column the last unplaced row nonzero there is scaled to end in
-    1, cleared from the other unplaced rows and placed; the rows keep their
-    order.  Unplaced rows are zero right of the current column, so no row
-    is ever cut or padded.
-    """
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    unplaced = list(range(len(work)))
-    for col in range(n - 1, -1, -1):
-        if not unplaced:
-            break
-        hit = [i for i in unplaced if work[i][col]]
-        if not hit:
-            continue
-        i = hit.pop()
-        row = work[i]
-        f = inv(row[col])
-        if f != 1:
-            row = work[i] = [mul(f, x) for x in row]
-        for j in hit:
-            g = work[j][col]
-            work[j] = [sub(x, mul(g, y)) for x, y in zip(work[j], row)]
-        unplaced.remove(i)
-    return tuple(map(tuple, work))
-
-
-def _rref_lanes(rows, n: int, lanes: _Lanes):
+def _rref(rows, n: int, lanes: _Lanes):
     """rref of packed rows, one row at a time: (rows, pivots).
 
     A row is cleared on its lowest nonzero lane by the basis row pivoted
@@ -231,68 +209,78 @@ def _rref_lanes(rows, n: int, lanes: _Lanes):
     kept as the basis row of that lane.  Last, every row from the
     second-to-last up is cleared on the pivots below it.
     """
-    inv, gf2 = lanes.ctx.inv, lanes.ctx.q == 2
-    basis = {}              # bit of the pivot lane -> row
+    inv, gf2, sh, mask = lanes.ctx.inv, lanes.ctx.q == 2, lanes.sh, lanes.mask
+    basis = {}              # pivot column -> row
     for x in rows:
         while x:
-            s = (x & -x).bit_length() - 1 & -8
-            row = basis.get(s)
+            c = (x & -x).bit_length() - 1 >> sh
+            row = basis.get(c)
             if row is None:
-                if x >> s & 255 != 1:
-                    x = _scale_row(x, lanes[inv(x >> s & 255)], n)
-                basis[s] = x
+                lead = x >> (c << sh) & mask
+                if lead != 1:
+                    x = lanes.scale(x, inv(lead), n)
+                basis[c] = x
                 break
-            x = x ^ row if gf2 else _eliminate(x, (row,), (s >> 3,), lanes, n)
-    pivots = [s >> 3 for s in sorted(basis)]
-    out = [basis[c << 3] for c in pivots]
+            x = x ^ row if gf2 else _eliminate(x, (row,), (c,), lanes, n)
+    pivots = sorted(basis)
+    out = [basis[c] for c in pivots]
     for i in range(len(out) - 2, -1, -1):
         out[i] = _eliminate(out[i], out[i + 1:], pivots[i + 1:], lanes, n)
     return out, tuple(pivots)
 
 
-def _tau_lanes(work, n: int, lanes: _Lanes):
-    """_tau on the packed rows of work, one row at a time from the last.
+def _tau(work: list, n: int, lanes: _Lanes):
+    """tau on the packed rows of a full-rank rref matrix, in place: it
+    keeps the row span and the pivots, and its output is in row echelon
+    form but not reduced.
 
-    In the column loop a row is only ever cleared by a later row, the one
+    tau goes from column n-1 down: in each column the last unplaced row
+    nonzero there is scaled to end in 1, cleared from the other unplaced
+    rows and placed.  A row is only ever cleared by a later row, the one
     placed on the column where the row's top lane is.  So each row, last
     first, is cleared on its top lane by the row placed there as long as
     there is one, then scaled to end in 1 and placed on its top lane: the
-    loop's output, without a scan over the columns.
+    column loop's output, without a scan over the columns.
     """
-    inv, gf2 = lanes.ctx.inv, lanes.ctx.q == 2
-    placed = {}             # bit of the lane a row ends on -> row
+    inv, gf2, sh = lanes.ctx.inv, lanes.ctx.q == 2, lanes.sh
+    placed = {}             # column a row ends on -> row
     for i in range(len(work) - 1, -1, -1):
         x = work[i]
-        s = x.bit_length() - 1 & -8
-        while s in placed:
-            row = placed[s]
-            x = x ^ row if gf2 else _eliminate(x, (row,), (s >> 3,), lanes, n)
-            s = x.bit_length() - 1 & -8
-        if x >> s != 1:
-            x = _scale_row(x, lanes[inv(x >> s)], n)
-        work[i] = placed[s] = x
+        c = x.bit_length() - 1 >> sh
+        while c in placed:
+            row = placed[c]
+            x = x ^ row if gf2 else _eliminate(x, (row,), (c,), lanes, n)
+            c = x.bit_length() - 1 >> sh
+        last = x >> (c << sh)
+        if last != 1:
+            x = lanes.scale(x, inv(last), n)
+        work[i] = placed[c] = x
     return tuple(work)
 
 
-def _canonical(work, pivots, n, ctx, lanes):
+def _canonical(work, pivots, n, lanes: _Lanes):
     """The CanonicalSubspace of the full-rank rref matrix work, a list of
-    packed rows over a lane field and of rows otherwise."""
-    if lanes is None:
-        return CanonicalSubspace(ctx, n, _tau(work, n, ctx), pivots)
-    packed = _tau_lanes(work, n, lanes)
-    return CanonicalSubspace(ctx, n, _unpack(packed, n), pivots, packed)
+    packed rows."""
+    packed = _tau(work, n, lanes)
+    if lanes.sh == 3:
+        # byte lanes inlined, as in _pack_rows
+        rows = tuple([tuple(x.to_bytes(n, "little")) for x in packed])
+    else:
+        rows = tuple([lanes.unpack(x, n) for x in packed])
+    return CanonicalSubspace(lanes.ctx, n, rows, pivots, packed)
 
 
 def canonicalize(rows, n: int, ctx: FieldContext) -> CanonicalSubspace:
     """Canonical subspace spanned by arbitrary row vectors (rank deduced).
 
     Rows of another length than n and entries outside range(q) raise
-    ValueError.  Over a lane field the result's packed slot is filled.
+    ValueError, entries that are not ints TypeError.  The result's packed
+    slot is filled.
     """
     rows = list(rows)
     _check_entries(rows, ctx.q, n)
     lanes = _lanes(ctx)
-    return _canonical(*_rref(rows, n, ctx, lanes), n, ctx, lanes)
+    return _canonical(*_rref(_pack_rows(rows, lanes), n, lanes), n, lanes)
 
 
 def trivial_subspace(n: int, ctx: FieldContext) -> CanonicalSubspace:
@@ -351,9 +339,7 @@ def dual(a: CanonicalSubspace) -> CanonicalSubspace:
         for row, p in zip(reduced, pivots):
             vec[p] = neg(row[n - 1 - f])
         vectors.append(vec)
-    if lanes is not None:
-        vectors = list(map(_pack_row, vectors))
-    return _canonical(vectors, tuple(free), n, ctx, lanes)
+    return _canonical(_pack_rows(vectors, lanes), tuple(free), n, lanes)
 
 
 def contains(a: CanonicalSubspace, v) -> bool:
@@ -366,23 +352,11 @@ def contains(a: CanonicalSubspace, v) -> bool:
     return not any(r)
 
 
-def _pack_row(row) -> int:
-    # a bytearray is built from a row in about half the time of bytes
-    return int.from_bytes(bytearray(row), "little")
-
-
-def _scale_row(x: int, table: bytes, width: int) -> int:
-    return int.from_bytes(x.to_bytes(width, "little").translate(table),
-                          "little")
-
-
 def _packed_rows(a: CanonicalSubspace):
-    """a.packed, built on first use; lane fields only."""
+    """a.packed, built on first use."""
     packed = a.packed
     if packed is None:
-        # _pack_row inlined: this runs once per row of every packed item
-        packed = a.packed = tuple([int.from_bytes(bytearray(r), "little")
-                                   for r in a.rows])
+        packed = a.packed = tuple(_pack_rows(a.rows, _lanes(a.ctx)))
     return packed
 
 
@@ -391,7 +365,8 @@ def _eliminate(x, rows, pivots, lanes: _Lanes, width: int) -> int:
 
     rows are packed echelon rows of at most width lanes, each nonzero on
     its pivot; the multiplier of a row is -e/lead, e being x's entry and
-    lead the row's entry on the pivot.
+    lead the row's entry on the pivot.  Rows add lane by lane over the
+    lanewise fields and entry by entry, with field calls, otherwise.
     """
     if lanes.ctx.q == 2:
         # every multiplier is 1: no table is read
@@ -399,6 +374,9 @@ def _eliminate(x, rows, pivots, lanes: _Lanes, width: int) -> int:
             if x >> (c << 3) & 1:
                 x ^= row
         return x
+    if not lanes.lanewise:
+        return lanes.pack(_eliminate_entries(lanes.unpack(x, width), rows,
+                                             pivots, lanes, width))
     neg_inv, p = lanes.neg_inv, lanes.p
     if p != 2:
         ones = (1 << (width << 3)) // 255       # 1 in each of width lanes
@@ -419,42 +397,49 @@ def _eliminate(x, rows, pivots, lanes: _Lanes, width: int) -> int:
     return x
 
 
+def _eliminate_entries(v, rows, pivots, lanes: _Lanes, width: int) -> list:
+    """_eliminate for a field whose rows add entry by entry, on the
+    entries v of x; the result has len(v) entries."""
+    mul, sub, inv = lanes.ctx.mul, lanes.ctx.sub, lanes.ctx.inv
+    unpack = lanes.unpack
+    for row, c in zip(rows, pivots):
+        e = v[c]
+        if e:
+            row = unpack(row, width)
+            f = mul(e, inv(row[c]))
+            v = [sub(d, mul(f, y)) if y else d for d, y in zip(v, row)]
+    return list(v)
+
+
 def reduce_vector(a: CanonicalSubspace, v):
     """Eliminate v against the echelon rows; zero iff v is in the span.
 
-    a's rows may be longer than v if they are zero past it.
+    a's rows may be longer than v if they are zero past it.  Entry-wise
+    fields reduce v's entries as they are, with no packing round trip.
     """
-    ctx = a.ctx
-    lanes = _lanes(ctx)
-    if lanes is not None:
-        x = _eliminate(_pack_row(v), _packed_rows(a), a.pivots, lanes, a.n)
-        return list(x.to_bytes(len(v), "little"))
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    v = list(v)
-    for row, p in zip(a.rows, a.pivots):
-        c = v[p]
-        if c:
-            f = mul(c, inv(row[p]))
-            v = [sub(x, mul(f, y)) if y else x for x, y in zip(v, row)]
-    return v
+    lanes = _lanes(a.ctx)
+    packed, pivots, n = _packed_rows(a), a.pivots, a.n
+    if not lanes.lanewise:
+        return _eliminate_entries(v, packed, pivots, lanes, n)
+    # lanewise fields have byte lanes: packing inlined, as in _pack_rows
+    x = _eliminate(int.from_bytes(bytearray(v), "little"), packed, pivots,
+                   lanes, n)
+    return list(x.to_bytes(len(v), "little"))
 
 
 def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
     """rank([A; B]), the dimension of the sum of A and B."""
     _check_ambient(a, b)
-    ctx = a.ctx
-    lanes = _lanes(ctx)
-    if lanes is not None:
-        # A's rows, then B's rows independent of them, each pivoted on its
-        # lowest nonzero lane
-        rows, pivots = list(_packed_rows(a)), list(a.pivots)
-        for x in _packed_rows(b):
-            x = _eliminate(x, rows, pivots, lanes, a.n)
-            if x:
-                rows.append(x)
-                pivots.append((x & -x).bit_length() - 1 >> 3)
-        return len(rows)
-    return len(_rref(a.rows + b.rows, a.n, ctx, None)[1])
+    lanes = _lanes(a.ctx)
+    # A's rows, then B's rows independent of them, each pivoted on its
+    # lowest nonzero lane
+    rows, pivots = list(_packed_rows(a)), list(a.pivots)
+    for x in _packed_rows(b):
+        x = _eliminate(x, rows, pivots, lanes, a.n)
+        if x:
+            rows.append(x)
+            pivots.append((x & -x).bit_length() - 1 >> lanes.sh)
+    return len(rows)
 
 
 def grassmann_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
@@ -482,10 +467,9 @@ def projective_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
 
 
 def scale_vector(ctx: FieldContext, v, f: int):
-    """f times the vector v, as a tuple: one translate over a lane field."""
-    lanes = _lanes(ctx)
-    if lanes is not None:
-        return tuple(bytes(v).translate(lanes[f]))
+    """f times the vector v, as a tuple: one translate for q <= 256."""
+    if ctx.q <= 256:
+        return tuple(bytes(v).translate(_lanes(ctx)[f]))
     mul = ctx.mul
     return tuple([mul(f, x) for x in v])
 
@@ -519,7 +503,11 @@ def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     pivots = base.pivots[:pos] + (lead,) + base.pivots[pos:]
     packed = base.packed
     if packed is not None:
-        packed = packed[:pos] + (_pack_row(v),) + packed[pos:]
+        # byte lanes inlined, as in _pack_rows: the codec adds a row per
+        # level
+        x = (int.from_bytes(bytearray(v), "little") if ctx.q <= 256
+             else _lanes(ctx).pack(v))
+        packed = packed[:pos] + (x,) + packed[pos:]
     return CanonicalSubspace(ctx, base.n, rows, pivots, packed)
 
 
@@ -533,13 +521,13 @@ def extension_block(base: CanonicalSubspace, digits, top: int, classes):
     class on the digits that differ, like an odometer.
     """
     ctx, n, rows, pivots = base.ctx, base.n, base.rows, base.pivots
-    q, lane = ctx.q, _lanes(ctx) is not None
-    packed = _packed_rows(base) if lane else ()
+    q, sh = ctx.q, _lanes(ctx).sh
+    packed = _packed_rows(base)
     if not set(pivots).isdisjoint(digits) or any(any(r[top:]) for r in rows):
         raise ValueError("vector must be reduced against the base and nonzero")
     v = [0] * n
     v[top] = 1
-    x, a, splits = 1 << (top << 3), 0, {}
+    x, a, splits = 1 << (top << sh), 0, {}
     for c in classes:
         b = c
         for r in digits:
@@ -549,9 +537,9 @@ def extension_block(base: CanonicalSubspace, digits, top: int, classes):
             b, db = divmod(b, q)
             if da != db:
                 v[r] = db
-                x += db - da << (r << 3)
+                x += db - da << (r << sh)
         a = c
-        lead = (x & -x).bit_length() - 1 >> 3 if lane else leading_column(v)
+        lead = (x & -x).bit_length() - 1 >> sh
         split = splits.get(lead)
         if split is None:
             pos = bisect_left(pivots, lead)
@@ -560,7 +548,7 @@ def extension_block(base: CanonicalSubspace, digits, top: int, classes):
                 packed[:pos], packed[pos:])
         lo, hi, piv, plo, phi = split
         yield CanonicalSubspace(ctx, n, lo + (tuple(v),) + hi, piv,
-                                plo + (x,) + phi if lane else None)
+                                plo + (x,) + phi)
 
 
 def enumerate_subspaces(n: int, k: int, ctx: FieldContext):
@@ -583,9 +571,7 @@ def enumerate_subspaces(n: int, k: int, ctx: FieldContext):
                 grid[i][p] = 1
             for (i, c), val in zip(free_cells, values):
                 grid[i][c] = val
-            if lanes is not None:
-                grid = list(map(_pack_row, grid))
-            yield _canonical(grid, pivots, n, ctx, lanes)
+            yield _canonical(_pack_rows(grid, lanes), pivots, n, lanes)
 
 
 def subspaces_of(a: CanonicalSubspace, k: int):
@@ -611,16 +597,13 @@ def superspaces_of(a: CanonicalSubspace, k: int):
 
 
 def pack_subspace(a: CanonicalSubspace) -> tuple:
-    """A hashable key for distinctness sets: the packed rows over a lane
-    field, the rows otherwise.
+    """A hashable key for distinctness sets: the packed rows.
 
     Keys compare subspaces of one ambient space and field; canonical rows
     are unique to the subspace, so keys are equal exactly when the
     subspaces are.
     """
-    if _lanes(a.ctx) is not None:
-        return _packed_rows(a)
-    return a.rows
+    return _packed_rows(a)
 
 
 # -- textual format ---------------------------------------------------------
@@ -653,13 +636,10 @@ def parse_subspace(text: str, ctx: FieldContext | None = None):
                          % (q, ctx.q))
     if len(lines) != k + 1:
         raise ValueError("expected %d rows, got %d" % (k, len(lines) - 1))
-    rows = []
-    for ln in lines[1:]:
-        row = tuple(map(int, ln.split()))
-        if len(row) != n:
-            raise ValueError("bad subspace row %r" % (ln,))
-        rows.append(row)
-    sub = canonicalize(rows, n, ctx)    # rejects entries outside range(q)
+    rows = [tuple(map(int, ln.split())) for ln in lines[1:]]
+    # canonicalize rejects rows of another length and entries outside
+    # range(q)
+    sub = canonicalize(rows, n, ctx)
     if sub.k != k:
         raise ValueError("stated dimension %d but rank is %d" % (k, sub.k))
     return sub, sub.rows == tuple(rows)

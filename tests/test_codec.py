@@ -115,6 +115,17 @@ def test_decode_rejects_entries_outside_the_field():
                 fn(params, W)
 
 
+def test_decode_rejects_entries_that_are_not_ints():
+    # 0.5 lies in [0, q) but is no element index: the decoders would read
+    # it as a digit and return q + 0.5
+    for q in (3, 257):
+        params = CodecParams(2, 1, field_from_order(q))
+        W = L.CanonicalSubspace(params.ctx, 2, ((0.5, 1),), (0,))
+        for fn in (decode, decode_fast, decode_via_dual):
+            with pytest.raises(TypeError, match="entries must be ints"):
+                fn(params, W)
+
+
 def _echelon_variants(sub):
     """Every basis T*rows of sub with T upper triangular and invertible.
 

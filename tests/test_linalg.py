@@ -229,8 +229,9 @@ def test_parse_non_canonical_flag():
 
 
 def test_pack_subspace_injective():
-    # a lane field, a prime lane field and a tuple field
-    for q in (2, 3, 9):
+    # lanewise sums in characteristic 2 and over a prime, entry-by-entry
+    # sums on byte and on 16-bit lanes
+    for q in (2, 3, 9, 257):
         seen = {}
         for k in range(4):
             for sub in L.enumerate_subspaces(3, k, field_from_order(q)):
@@ -240,9 +241,9 @@ def test_pack_subspace_injective():
 
 
 # -- rref, tau and dual against the column-scan oracle ----------------------
-# _column_rref and _column_tau are the column loops that linalg keeps for
-# the tuple fields, here with field calls only: lane rref, canonicalize and
-# dual share no code with them.
+# _column_rref and _column_tau are column loops on tuple rows with field
+# calls only.  linalg's rref, canonicalize and dual work on packed rows at
+# every field, one row at a time, and share no code with them.
 
 
 def _column_rref(rows, n, ctx):
@@ -302,7 +303,7 @@ def _column_dual(a):
 
 
 CANON_FIELDS = [field_from_order(q)
-                for q in (2, 3, 4, 5, 8, 16, 127, 256, 9, 131)]
+                for q in (2, 3, 4, 5, 8, 16, 127, 256, 9, 131, 257, 1024)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -310,7 +311,8 @@ CANON_FIELDS = [field_from_order(q)
 def test_rref_canonicalize_and_dual_match_the_column_scan(data):
     # n <= 64, on a third of the draws n <= 6; zero, repeated and
     # dependent rows, and up to n + 3 rows when n is small.  GF(9) and
-    # GF(131) run the tuple loops: controls.
+    # GF(131) add entry by entry on byte lanes, GF(257) and GF(1024) on
+    # 16-bit lanes.
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     ctx = rng.choice(CANON_FIELDS)
     q = ctx.q
@@ -352,47 +354,53 @@ def test_rows_of_another_length_are_rejected():
     # is zero up to n; a shorter one would be read past its end
     F9 = field_from_order(9)
     message = "rows must have length 3"
-    for ctx in (F2, F3, F9):
+    for ctx in (F2, F3, F9, field_from_order(257)):
         for rows in ([(1, 0, 1, 1)], [(0, 0, 0, 1)], [(1, 0)],
                      [(1, 0, 0), (0, 1)]):
             for call in (L.canonicalize, L.rref):
                 with pytest.raises(ValueError, match=message):
                     call(rows, 3, ctx)
+        with pytest.raises(ValueError, match=message):
+            L.parse_subspace("2 3 %d\n1 0 0\n0 1\n" % ctx.q, ctx)
     a = L.canonicalize([(1, 0, 1)], 3, F2)
     with pytest.raises(ValueError, match=message):
         L.subspace_sum(a, L.CanonicalSubspace(F2, 3, ((0, 1, 0, 1),), (1,)))
 
 
-# -- lane kernels against tuple-row oracles ----------------------------------
+# -- packed-row kernels against tuple-row oracles ----------------------------
 # The oracles below use only ctx.mul, ctx.sub and ctx.inv on tuple rows,
-# and the rank of _column_rref.  The fields cover every lane kind
-# (GF(2), characteristic 2 up to 256, primes up to 127, the largest whose
-# lane sums fit a byte) and every tuple kind (odd extension fields, the
-# first prime above 128).
+# and the rank of _column_rref.  The fields cover every kind whose rows add
+# lane by lane (GF(2), characteristic 2 up to 256, primes up to 127, the
+# largest whose lane sums fit a byte) and every kind whose rows add entry
+# by entry (odd extension fields, the first prime above 128, and a prime
+# and a field of characteristic 2 on 16-bit lanes).
 
 KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                            max_examples=320)
-LANE_QS = (2, 3, 4, 5, 7, 8, 16, 127, 128, 256)
-TUPLE_QS = (9, 27, 131)
-KERNEL_FIELDS = [field_from_order(q) for q in sorted(LANE_QS + TUPLE_QS)]
+LANEWISE_QS = (2, 3, 4, 5, 7, 8, 16, 127, 128, 256)
+ENTRYWISE_QS = (9, 27, 131, 257, 1024)
+KERNEL_FIELDS = [field_from_order(q)
+                 for q in sorted(LANEWISE_QS + ENTRYWISE_QS)]
 
 
 def _kernel_field(rng):
     """GF(2), the codec's main field, on half the draws; else one of the
-    other twelve.  A seeded generator picks: a derandomized sampled_from
+    other fourteen.  A seeded generator picks: a derandomized sampled_from
     skips some of them."""
     return KERNEL_FIELDS[0] if rng.random() < 0.5 else rng.choice(
         KERNEL_FIELDS[1:])
 
 
-def _fresh_packing(rows):
-    return tuple(int.from_bytes(bytes(r), "little") for r in rows)
+def _fresh_packing(rows, q):
+    """rows as ints, one byte per entry for q <= 256 and two above."""
+    width = 1 if q <= 256 else 2
+    return tuple(sum(e << (8 * width * c) for c, e in enumerate(r))
+                 for r in rows)
 
 
 def _packing_of(sub):
-    """What sub.packed must hold once built: the rows packed one byte per
-    entry over a lane field, nothing over a tuple field."""
-    return _fresh_packing(sub.rows) if sub.ctx.q in LANE_QS else None
+    """What sub.packed must hold once built."""
+    return _fresh_packing(sub.rows, sub.ctx.q)
 
 
 def _tuple_reduce(a, v):
@@ -469,9 +477,9 @@ def test_lane_kernels_match_oracles(case):
 def test_packed_rows_carry_through_derived_subspaces(case):
     a, _, v, _ = case
     ctx = a.ctx
-    # canonicalize packs over a lane field; a subspace made from rows
-    # alone packs when a lane kernel first needs it, and derived subspaces
-    # of an unpacked one stay unpacked
+    # canonicalize packs; a subspace made from rows alone packs when a
+    # kernel first needs it, and derived subspaces of an unpacked one stay
+    # unpacked
     assert a.packed == _packing_of(a)
     a = L.CanonicalSubspace(ctx, a.n, a.rows, a.pivots)
     assert a.packed is None and _append_zero_col(a, 2).packed is None
@@ -538,6 +546,14 @@ def test_entries_outside_the_field_are_rejected():
         with pytest.raises(ValueError, match=r"range\(%d\)" % q):
             call()
     assert L.contains(b, (2, 0, 1)) and not L.contains(b, (1, 0, 0))
+    # a number in [0, q) that is not an int is no element index either
+    line = L.simple_subspace(3, 1, field_from_order(257))
+    for call in (lambda: L.contains(line, (0.5, 0, 0)),
+                 lambda: L.contains(b, (1, 0, 1.5)),
+                 lambda: L.canonicalize([(0.5, 1, 0)], 3, F3),
+                 lambda: L.rref([(1, 0, 1), (0, 2.0, 0)], 3, F3)):
+        with pytest.raises(TypeError, match="entries must be ints"):
+            call()
 
 
 # -- Grassmann adjacency: the shared-row test against the rank ---------------

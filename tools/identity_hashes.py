@@ -1,7 +1,7 @@
 """Output-identity hashes of the codec, the GRAY/PROJ writers and verify.
 
 Run from anywhere as `python3 tools/identity_hashes.py`; it imports
-grayspace from the `src/` beside this directory.  It prints seven
+grayspace from the `src/` beside this directory.  It prints eight
 lines, each a label and the first 16 hex digits of a sha256:
 
   grid      encode, decode, decode_fast, encode_via_dual and decode_via_dual
@@ -17,7 +17,8 @@ lines, each a label and the first 16 hex digits of a sha256:
   wide      encode_via_dual and decode_via_dual at indices 0, P-1 and two
             seeded ones, then dual, intersect and canonicalize on those
             items and on low-dimensional subspaces, at five parameter
-            sets with n up to 256 over lane and tuple fields;
+            sets with n up to 256, over fields whose rows add lane by
+            lane and fields whose rows add entry by entry;
   stream    the rows and pivots of every iter_simple item, and what
             verify_gray_stream reports (passed, duplicates,
             adjacency_failures, first_nonadjacent, wraparound_ok) on the
@@ -25,13 +26,18 @@ lines, each a label and the first 16 hex digits of a sha256:
             item repeated, for criterion 2's grid (q <= 4, n <= 6), q in
             5, 7, 8, 9 up to n = 4 and k = 1 at n = 5, 6;
   proj      the bytes of `proj --n 5` at q = 4, 5 and of `proj --n 3` at
-            q = 5, 7, 8, 9 (GF(9) is a tuple field): field sizes the files
-            line does not reach.
+            q = 5, 7, 8, 9 (GF(9) adds entry by entry): field sizes the
+            files line does not reach;
+  big       encode, decode and decode_fast at indices 0, 1, P-1 and three
+            seeded ones, then dual, intersect and subspace_sum of
+            consecutive items, at five parameter sets with q above 256
+            (16-bit lanes): a prime, an odd extension field and
+            characteristic 2, up to q = 65536.
 
 Two trees whose lines are equal give identical indices, matrices, file
 bytes and verify verdicts on these inputs.  The grid line takes about a
-minute, and so does the stream line; so does the wide line on a tree
-whose rref runs on tuples.  The proj line takes a few seconds.
+minute, and so does the stream line.  The proj line takes a few seconds,
+and the big line about one, most of it building GF(65536).
 """
 
 from __future__ import annotations
@@ -52,17 +58,18 @@ from grayspace.codec import (CodecParams, decode, decode_fast,  # noqa: E402
 from grayspace.field import field_from_order  # noqa: E402
 from grayspace.grassmann_gray import (iter_simple,  # noqa: E402
                                       verify_gray_stream)
-from grayspace.linalg import canonicalize, dual, intersect  # noqa: E402
+from grayspace.linalg import (canonicalize, dual,  # noqa: E402
+                              intersect, subspace_sum)
 from grayspace.qcombin import gaussian  # noqa: E402
 
-# the last six reach the boundaries of linalg's lane fields: primes 5, 7
-# and 127 (the largest that packs), 131 (the first prime on tuples), an
-# odd extension field and GF(256)
+# the last six reach the boundaries of linalg's row arithmetic: primes 5,
+# 7 and 127 (the largest whose rows add lane by lane), 131 (the first
+# prime whose rows add entry by entry), an odd extension field and GF(256)
 LARGE = [(256, 4, 2), (64, 16, 2), (256, 4, 3), (128, 4, 8), (40, 30, 3),
          (128, 32, 2), (256, 64, 2), (64, 4, 9), (32, 3, 128),
          (48, 6, 5), (40, 5, 7), (24, 3, 127), (24, 3, 131), (24, 4, 27),
          (20, 3, 256)]
-# 2k > n, so the via-dual codec runs; GF(9) and GF(131) stay on tuples
+# 2k > n, so the via-dual codec runs; GF(9) and GF(131) add entry by entry
 WIDE = [(256, 252, 2), (128, 124, 3), (64, 60, 4), (48, 45, 9), (32, 29, 131)]
 GEN = [(4, 2, 2), (5, 2, 3), (6, 3, 2), (7, 3, 2), (3, 1, 4)]
 SEEDS = (0, 1, 2)
@@ -73,6 +80,10 @@ STREAM = ([(n, k, q) for q in (2, 3, 4) for n in range(7)
           + [(n, 1, q) for q in (5, 7, 8, 9) for n in (5, 6)])
 PROJ = [(n, q) for n in (1, 3, 5) for q in (2, 3)] + [(3, 4)]
 PROJ_WIDE = [(5, 4), (5, 5), (3, 5), (3, 7), (3, 8), (3, 9)]
+# q > 256, where rows sit in 16-bit lanes: a prime just above 256, GF(2^10),
+# GF(3^7), the largest prime below 2^16 and GF(2^16)
+BIG = [(12, 3, 257), (10, 4, 1024), (8, 3, 2187), (6, 2, 65521),
+       (5, 2, 65536)]
 
 
 def digest(lines):
@@ -155,6 +166,24 @@ def stream_lines():
             yield "%d %d %d %r %d %d %r %r" % (
                 n, k, q, rep.passed, rep.duplicates, rep.adjacency_failures,
                 rep.first_nonadjacent, rep.wraparound_ok)
+
+
+def big_lines():
+    rng = random.Random(16)
+    for n, k, q in BIG:
+        params = CodecParams(n, k, field_from_order(q))
+        total = params.size
+        picks = [0, 1, total - 1] + [rng.randrange(total) for _ in range(3)]
+        items = []
+        for m in picks:
+            sub = encode(params, m)
+            items.append(sub)
+            yield "%d %d %d %d %r %d %d" % (n, k, q, m, sub.rows,
+                                            decode(params, sub),
+                                            decode_fast(params, sub))
+        for a, b in zip(items, items[1:]):
+            yield "%r %r %r" % (dual(a).rows, intersect(a, b).rows,
+                                subspace_sum(a, b).rows)
 
 
 def run_cli(argv):
@@ -243,6 +272,7 @@ def main():
     print("stream", digest(stream_lines()))
     with tempfile.TemporaryDirectory() as tmp:
         print("proj  ", digest(proj_lines(Path(tmp))))
+    print("big   ", digest(big_lines()))
 
 
 if __name__ == "__main__":
