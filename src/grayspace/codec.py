@@ -20,8 +20,9 @@ closing class, then the index or the row.
 
 The closing class depends on the base's successor.  Every level yields,
 with its row, one vector x spanning the item's successor modulo the item,
-read off its block position (_next_direction); the closing class then
-costs one vector reduction and no successor is ever encoded.
+read off its block position (_next_direction), and hands it up to the
+level above: a block with a successor reads its closing class off the x
+of its base in one vector reduction, and no successor is ever encoded.
 
 decode is the plain reference decode_fast is tested against: it strips
 one zero column at a time, recurses once per extension level and takes
@@ -38,8 +39,9 @@ from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
                              closing_class_index, _class_digits,
                              _closing_class, _nonpivot_columns, _rep_vector)
-from .linalg import (CanonicalSubspace, _check_entries, extend_subspace,
-                     last_nonzero, leading_column, simple_subspace)
+from .linalg import (CanonicalSubspace, _check_entries, dual,
+                     extend_subspace, last_nonzero, leading_column,
+                     simple_subspace)
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
 
 
@@ -78,15 +80,14 @@ def _grow(base, nonpiv, v, lead, top, n):
     return extend_subspace(base, v)
 
 
-def _encode(n, k, q, ctx, m, want_next):
-    """(item, x): the m-th item of the (n,k) code and, when want_next is
-    set, a vector x of length n that spans the successor (item m+1,
-    cyclically) modulo the item itself; the mirror of _decode_fast.
+def _encode(n, k, q, ctx, m):
+    """(item, x): the m-th item of the (n,k) code and a vector x of length
+    n that spans the successor (item m+1, cyclically) modulo the item
+    itself, None for k = 0 or k = n; the mirror of _decode_fast.
     """
     width_n = n
     x = None
-    # top-down: each extension level's item is item i of the (top-1, k-1)
-    # code, whose own successor direction is wanted when need_last is set
+    # top-down: each level's base is item i of the (top-1, k-1) code
     levels = []
     while 0 < k < n:
         # items below g1 = [top-1 k]_q lie inside W^(top-1), and none does
@@ -96,29 +97,25 @@ def _encode(n, k, q, ctx, m, want_next):
             top -= 1
             g1 = gaussian_product_tree(top - 1, k, q)
         if top == k:
-            if want_next:
-                x = _next_direction(ctx, n, k, top)
+            x = _unit(n, k)
             break
         width = q ** (top - k)
         g2 = gaussian_product_tree(top - 1, k - 1, q)
         t = m - g1 + 1
         i = (t // width) % g2
         jpos = t % width
-        # without need_last, width-1 is exact for a lone block (plain
-        # order) and unused at position 0, which always holds class 0
-        need_last = g2 > 1 and (jpos != 0 or want_next)
-        levels.append((n, k, top, i, jpos, width, need_last, want_next))
-        n, k, m, want_next = top - 1, k - 1, i, need_last
+        levels.append((n, k, top, i, jpos, width, g2))
+        n, k, m = top - 1, k - 1, i
     # bottom-up: every base has rows of width width_n, zero from its top on
     base = simple_subspace(width_n, k, ctx)
     nonpiv = list(range(k, n))
     pad = (0,) * width_n
-    for n, k, top, i, jpos, width, need_last, want_next in reversed(levels):
-        last = _closing_class(base, x, nonpiv) if need_last else width - 1
+    for n, k, top, i, jpos, width, g2 in reversed(levels):
+        # a lone block (g2 = 1) runs in plain order and closes on width-1
+        last = _closing_class(base, x, nonpiv) if g2 > 1 else width - 1
         c = class_at_position(last, width, jpos)
         v = tuple(_rep_vector(q, top, nonpiv, c)) + pad[top:]
-        x = _next_direction(ctx, n, k, top, i, jpos, width, c, last,
-                            nonpiv) if want_next else None
+        x = _next_direction(ctx, n, k, top, i, jpos, width, c, last, nonpiv)
         base = _grow(base, nonpiv, v, leading_column(v), top, n)
     return base, x
 
@@ -130,7 +127,7 @@ def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     total = params.size
     if not 0 <= m < total:
         raise ValueError("index %d out of range [0, %d)" % (m, total))
-    return _encode(params.n, params.k, params.q, params.ctx, m, False)[0]
+    return _encode(params.n, params.k, params.q, params.ctx, m)[0]
 
 
 def _extension_parts(ctx, n, rows):
@@ -171,11 +168,11 @@ def _decode(n, k, q, ctx, rows, g):
     width = q ** (n - k)
     c = _class_digits(v, _nonpivot_columns(base), q)
     if g2 == 1:
-        jpos = c
+        last = width - 1
     else:
-        succ, _ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2, False)
+        succ, _ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2)
         last = closing_class_index(base, succ)
-        jpos = width - 1 if c == last else class_position(last, c)
+    jpos = class_position(last, width, c)
     return g1 + ((width * i + jpos - 1) % (width * g2))
 
 
@@ -201,14 +198,14 @@ def _class_step(sub, q, nonpiv, n, a, b):
     return x
 
 
-def _next_direction(ctx, n, k, top, i=0, jpos=0, width=0, c=0, last=0,
-                    nonpiv=()):
+def _next_direction(ctx, n, k, top, i, jpos, width, c, last, nonpiv):
     """A vector of length n spanning an item's successor modulo the item.
 
     The item extends a base of W^(top-1) by class c at position jpos of
-    block i, and the block closes with class last; top == k marks the
-    simple subspace.  The successor, and so the vector, is:
-    - for the simple subspace, item 1, the first item leaving W^k: e_k;
+    block i, and the block closes with class last.  The successor, and so
+    the vector, is:
+    - for the simple subspace, item 1, the first item leaving W^k: e_k,
+      which the walks write themselves where they reach it;
     - for the last item of the code, the simple subspace: e_{k-1};
     - for the last item of a stripped level-top code, the first item
       leaving W^top: block 0 at position 1, whose class is 1 for k = 1
@@ -218,8 +215,6 @@ def _next_direction(ctx, n, k, top, i=0, jpos=0, width=0, c=0, last=0,
     - inside a block, the next class: the difference of the two
       representatives.
     """
-    if top == k:
-        return _unit(n, k)
     if i == 0 and jpos == 0:
         if top == n:
             return _unit(n, k - 1)
@@ -233,10 +228,10 @@ def _next_direction(ctx, n, k, top, i=0, jpos=0, width=0, c=0, last=0,
                        class_at_position(last, width, jpos + 1))
 
 
-def _decode_fast(n, k, q, ctx, rows, want_next):
-    """(index, x): the index of span(rows) in the (n,k) code and, when
-    want_next is set, a vector x of length n that spans the successor
-    (item index+1, cyclically) modulo the item; the mirror of _encode.
+def _decode_fast(n, k, q, ctx, rows):
+    """(index, x): the index of span(rows) in the (n,k) code and a vector
+    x of length n that spans the successor (item index+1, cyclically)
+    modulo the item, None for k = 0 or k = n; the mirror of _encode.
     """
     if k == 0 or k == n:
         return 0, None
@@ -251,8 +246,7 @@ def _decode_fast(n, k, q, ctx, rows, want_next):
     for depth, j in enumerate(order):
         top = tops[j]
         if top == k:
-            if want_next:
-                x = _next_direction(ctx, n, k, top)
+            x = _unit(n, k)
             break
         v = rows[j]
         below = order[depth + 1:]
@@ -260,29 +254,24 @@ def _decode_fast(n, k, q, ctx, rows, want_next):
                 or any(map(v.__getitem__, map(leads.__getitem__, below)))):
             raise ValueError("not a canonical extension matrix")
         g2 = gaussian_product_tree(top - 1, k - 1, q)
-        levels.append((n, k, top, j, g2, want_next))
-        # c is not known yet, so the level below is asked for its
-        # direction whenever this block has a successor; a class-0 item
-        # not asked for its own direction leaves it unread
-        n, k, want_next = top - 1, k - 1, g2 > 1
+        levels.append((n, k, top, j, g2))
+        n, k = top - 1, k - 1
     # the rows left below the last level have tops <= k and pivots
     # 0..k-1, so they span W^k: the simple base reduces as they would
     base = simple_subspace(width_n, k, ctx)
     nonpiv = list(range(k, n))
     index = 0
-    for n, k, top, j, g2, want_next in reversed(levels):
+    for n, k, top, j, g2 in reversed(levels):
         v = rows[j]
         c = _class_digits(v, nonpiv, q)
         width = q ** (top - k)
-        # width-1 as in _encode: exact for a lone block, unused for class 0
-        need_last = g2 > 1 and (c != 0 or want_next)
-        last = _closing_class(base, x, nonpiv) if need_last else width - 1
-        jpos = width - 1 if c == last else class_position(last, c)
+        # as in _encode, a lone block closes on width-1
+        last = _closing_class(base, x, nonpiv) if g2 > 1 else width - 1
+        jpos = class_position(last, width, c)
         i = index
         index = gaussian_product_tree(top - 1, k, q) + (
             (width * i + jpos - 1) % (width * g2))
-        x = _next_direction(ctx, n, k, top, i, jpos, width, c, last,
-                            nonpiv) if want_next else None
+        x = _next_direction(ctx, n, k, top, i, jpos, width, c, last, nonpiv)
         base = _grow(base, nonpiv, v, leads[j], top, n)
     return index, x
 
@@ -332,13 +321,12 @@ def decode(params: CodecParams, W: CanonicalSubspace) -> int:
 def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
     """Index of W, as decode, without re-encoding any successor base.
 
-    The closing class of every block comes from one successor direction
-    carried up the level list (see _decode_fast); decode is the
-    reference.  Input is checked as in decode.
+    The closing class of every block comes from the successor direction
+    that the level below computes and hands up (see _decode_fast); decode
+    is the reference.  Input is checked as in decode.
     """
     _check_input(params, W)
-    return _decode_fast(params.n, params.k, params.q, params.ctx, W.rows,
-                        False)[0]
+    return _decode_fast(params.n, params.k, params.q, params.ctx, W.rows)[0]
 
 
 def _dual_params(params: CodecParams) -> CodecParams:
@@ -351,7 +339,6 @@ def encode_via_dual(params: CodecParams, m: int) -> CanonicalSubspace:
     For 2k > n the index enumerates the dual Gray order: item m is the
     orthogonal complement of the m-th (n,n-k)-code element.
     """
-    from .linalg import dual
     if 2 * params.k <= params.n:
         return encode(params, m)
     return dual(encode(_dual_params(params), m))
@@ -359,7 +346,6 @@ def encode_via_dual(params: CodecParams, m: int) -> CanonicalSubspace:
 
 def decode_via_dual(params: CodecParams, W: CanonicalSubspace) -> int:
     """Inverse of encode_via_dual, through decode_fast."""
-    from .linalg import dual
     if 2 * params.k <= params.n:
         return decode_fast(params, W)
     _check_input(params, W)

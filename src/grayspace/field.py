@@ -277,19 +277,6 @@ class FieldContext:
 
     # -- generic helpers ----------------------------------------------------
 
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        e = int(e)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
     def coeffs(self, index: int) -> tuple[int, ...]:
         """Base-p coefficient vector of the element with the given index."""
         return digits_of(index, self.p, self.m)

@@ -152,17 +152,19 @@ def block_class_order(base: CanonicalSubspace, succ, width: int):
     return [0] + [c for c in range(1, width) if c != last] + [last]
 
 
-def class_position(last: int, c: int) -> int:
-    """Position of class c inside [0, ascending middle, last]."""
+def class_position(last: int, width: int, c: int) -> int:
+    """Position of class c inside [0, ascending middle, last]: width-1 for
+    the closing class; the inverse of class_at_position."""
     if c == 0:
         return 0
     if c == last:
-        raise ValueError("closing class position depends on the width")
+        return width - 1
     return c if c < last else c - 1
 
 
 def class_at_position(last: int, width: int, j: int) -> int:
-    """Inverse of class_position, with j = width-1 giving the closer."""
+    """Class at position j of [0, ascending middle, last]: the closing
+    class for j = width-1; the inverse of class_position."""
     if j == 0:
         return 0
     if j == width - 1:
@@ -403,10 +405,6 @@ class GrayReport:
     failures: list = dfield(default_factory=list)
     first_duplicate: int | None = None
     first_nonadjacent: int | None = None
-
-    @property
-    def distinct(self) -> bool:
-        return self.duplicates == 0
 
     @property
     def optimal(self) -> bool:

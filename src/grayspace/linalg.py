@@ -323,23 +323,28 @@ def dual(a: CanonicalSubspace) -> CanonicalSubspace:
     original column order: row i is 1 on its pivot p_i and nonzero only
     left of it.  The vectors e_f - sum_i R[i][f] e_(p_i), one per column f
     that is not a pivot, span the complement and are a reduced echelon
-    matrix led by f already, so only tau is left to do.
+    matrix led by f already, so only tau is left to do.  R stays packed
+    as the rref of the reversed rows left it, so R[i][f] is lane n-1-f of
+    its row i; -R[i][f] goes into lane p_i of the vector, which starts as
+    1 in lane f.
     """
     ctx, n = a.ctx, a.n
     lanes = _lanes(ctx)
-    reduced, pivots = rref([r[::-1] for r in a.rows], n, ctx)
+    rows = [r[::-1] for r in a.rows]
+    _check_entries(rows, ctx.q, n)
+    reduced, pivots = _rref(_pack_rows(rows, lanes), n, lanes)
     pivots = [n - 1 - p for p in pivots]
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    neg = ctx.neg
+    neg, sh, mask = ctx.neg, lanes.sh, lanes.mask
     vectors = []
     for f in free:
-        vec = [0] * n
-        vec[f] = 1
+        at = (n - 1 - f) << sh
+        x = 1 << (f << sh)
         for row, p in zip(reduced, pivots):
-            vec[p] = neg(row[n - 1 - f])
-        vectors.append(vec)
-    return _canonical(_pack_rows(vectors, lanes), tuple(free), n, lanes)
+            x |= neg(row >> at & mask) << (p << sh)
+        vectors.append(x)
+    return _canonical(vectors, tuple(free), n, lanes)
 
 
 def contains(a: CanonicalSubspace, v) -> bool:

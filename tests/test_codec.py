@@ -259,8 +259,8 @@ def test_decode_fast_successor_direction():
         ctx = field_from_order(q)
         items = list(iter_simple(n, k, ctx))
         for m, (cur, nxt) in enumerate(zip(items, items[1:] + items[:1])):
-            index, x = _decode_fast(n, k, q, ctx, list(cur.rows), True)
-            item, y = _encode(n, k, q, ctx, m, True)
+            index, x = _decode_fast(n, k, q, ctx, list(cur.rows))
+            item, y = _encode(n, k, q, ctx, m)
             assert index == m and item == cur
             nonpiv = _nonpivot_columns(cur)
             for direction in (x, y):

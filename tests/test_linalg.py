@@ -206,6 +206,28 @@ def test_subspaces_and_superspaces():
     assert len(above) == 3
     for s in above:
         assert L.contains(s, (1, 0, 0))
+    # beyond GF(2), as the projective path search uses them (GF(9) adds
+    # entry by entry): [k j]_q distinct j-dim subspaces inside a k-dim a,
+    # [n-k j-k]_q distinct ones containing it
+    rng = random.Random(43)
+    for q in (3, 4, 9):
+        ctx = field_from_order(q)
+        for n in (4, 5):
+            for k in sorted({2, n - 2}):
+                a = L.canonicalize(random_rows(rng, n, k, ctx), n, ctx)
+                for j in range(n + 1):
+                    if j <= k:
+                        below = L.subspaces_of(a, j)
+                        assert len(below) == gaussian(k, j, q)
+                        assert len(set(below)) == len(below)
+                        assert all(s.k == j and L.stacked_rank(a, s) == k
+                                   for s in below)
+                    if j >= k:
+                        above = L.superspaces_of(a, j)
+                        assert len(above) == gaussian(n - k, j - k, q)
+                        assert len(set(above)) == len(above)
+                        assert all(s.k == j and L.stacked_rank(a, s) == j
+                                   for s in above)
 
 
 def test_format_parse_roundtrip():
