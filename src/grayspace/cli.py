@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import codec, grassmann_gray, projective_gray
-from .field import extend_field, parse_field_spec
+from .field import parse_field_spec
 from .linalg import format_subspace, parse_subspace
 from .qcombin import count_lower_bound, gaussian
 
@@ -34,13 +34,6 @@ def _field(spec: str):
     try:
         return parse_field_spec(spec)
     except (ValueError, TypeError) as exc:
-        raise CliError(str(exc), EXIT_PARAMS)
-
-
-def _extension(ctx, degree):
-    try:
-        return extend_field(ctx, degree)
-    except ValueError as exc:
         raise CliError(str(exc), EXIT_PARAMS)
 
 
@@ -152,17 +145,17 @@ def cmd_count(args) -> int:
 
 def cmd_proj(args) -> int:
     ctx = _field(args.q)
-    n = args.n
-    if n == 1:
-        seq = projective_gray.build_full_n1(ctx)
-    elif n == 3:
-        seq = projective_gray.build_full_n3(ctx, _extension(ctx, 3))
-    elif n == 5:
-        seq = projective_gray.build_full_n5(ctx, _extension(ctx, 5))
-    else:
+    build = {1: projective_gray.build_full_n1,
+             3: projective_gray.build_full_n3,
+             5: projective_gray.build_full_n5}.get(args.n)
+    if build is None:
         raise CliError("unsupported n=%d: full subspace Gray codes are only "
                        "known for n in {1, 3, 5}; other odd n are open and "
-                       "even n have none" % n, EXIT_PARAMS)
+                       "even n have none" % args.n, EXIT_PARAMS)
+    try:
+        seq = build(ctx)
+    except ValueError as exc:    # GF(q^n) above the field size bound
+        raise CliError(str(exc), EXIT_PARAMS)
     out, close = _open_out(args.out)
     try:
         grassmann_gray.write_gray_file(out, seq)

@@ -16,7 +16,8 @@ and Zech-logarithm lookups (log(1 + g^d)) in odd characteristic.
 Extension fields can be built over any existing context (`extend_field`),
 which is how GF(q^n) is realized as a degree-n extension of GF(q): its
 elements are then in natural bijection with length-n coordinate vectors
-over GF(q).
+over GF(q).  make_field(p, m) for m > 1 is extend_field(make_field(p, 1), m),
+so each field GF(p^m) has one context however it is named.
 """
 
 from __future__ import annotations
@@ -24,21 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 MAX_FIELD_SIZE = 65536  # size cap for constructed fields
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def prime_factors(n: int) -> list[int]:
@@ -312,16 +298,15 @@ def _check_size(base_q: int, degree: int) -> None:
 def make_field(p: int, m: int) -> FieldContext:
     """GF(p^m) with the lexicographically least irreducible monic modulus.
 
-    Identical (p, m) always return the same (cached) context.
+    Identical (p, m) always return the same (cached) context, and for
+    m > 1 it is extend_field(make_field(p, 1), m): one context per field.
     """
     _check_size(p, m)
-    if not is_prime(p):
+    if p < 2 or prime_factors(p) != [p]:
         raise ValueError("field characteristic %r is not prime" % (p,))
     if m == 1:
         return FieldContext(p=p)
-    base = make_field(p, 1)
-    return FieldContext(base=base, degree=m,
-                        modulus=_first_irreducible(base, m))
+    return extend_field(make_field(p, 1), m)
 
 
 @lru_cache(maxsize=None)

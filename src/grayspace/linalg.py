@@ -479,12 +479,10 @@ def scale_vector(ctx: FieldContext, v, f: int):
     return tuple([mul(f, x) for x in v])
 
 
-def _append_zero_col(sub: CanonicalSubspace,
-                     count: int = 1) -> CanonicalSubspace:
-    """sub padded with count zero columns; packed rows carry over as is."""
-    pad = (0,) * count
-    return CanonicalSubspace(sub.ctx, sub.n + count,
-                             tuple(r + pad for r in sub.rows), sub.pivots,
+def _append_zero_col(sub: CanonicalSubspace) -> CanonicalSubspace:
+    """sub padded with a zero column; packed rows carry over as is."""
+    return CanonicalSubspace(sub.ctx, sub.n + 1,
+                             tuple(r + (0,) for r in sub.rows), sub.pivots,
                              sub.packed)
 
 

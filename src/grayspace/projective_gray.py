@@ -2,11 +2,14 @@
 
 For even n no optimal code exists; nonexistence_certificate evaluates the
 counting argument exactly.  For n = 1, 3, 5 cyclic optimal codes are
-constructed: the middle levels are covered by expanding a short necklace
-path under multiplication by a primitive element alpha of GF(q^n), and the
-trivial and full spaces are spliced in by local subsequence reversals.
-Each orbit is listed once, by orbit_of, and every alpha-multiple the
-constructions need is read off it.
+constructed over GF(q): the middle levels are covered by expanding a short
+necklace path under multiplication by the primitive element alpha of
+GF(q^n) = extend_field(GF(q), n), and the trivial and full spaces are
+spliced in by local subsequence reversals.  The builders take GF(q) alone
+and derive the tower; the necklace functions take GF(q^n) alone and read n
+and GF(q) off it.  A necklace is its orbit, a tuple listed once by orbit_of
+and starting at its representative; every alpha-multiple the constructions
+need is read off it.
 The codes are GraySequence objects with k None, so grassmann_gray's
 verify_gray checks them and its GRAY/PROJ reader and writer store them.
 """
@@ -16,21 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .field import FieldContext, digits_of, undigits
+from .field import (FieldContext, digits_of, extend_field, make_field,
+                    undigits)
 from .grassmann_gray import GraySequence
 from .linalg import (CanonicalSubspace, canonicalize, enumerate_subspaces,
                      full_subspace, intersect, pack_subspace,
                      projective_adjacent, subspace_sum, subspaces_of,
                      superspaces_of, trivial_subspace)
 from .qcombin import gaussian, q_number
-
-
-@dataclass(frozen=True)
-class Necklace:
-    """An orbit of subspaces under multiplication by a primitive element."""
-    representative: CanonicalSubspace
-    orbit: tuple
-    size: int
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,6 @@ def nonexistence_certificate(n: int, q: int) -> NonexistenceReport:
 
 def fixture_code_2_2() -> GraySequence:
     """The optimal non-cyclic (2;2)-subspace code, listed explicitly."""
-    from .field import make_field
     ctx = make_field(2, 1)
     items = (canonicalize([(1, 0)], 2, ctx),
              trivial_subspace(2, ctx),
@@ -129,8 +124,10 @@ def multiply_subspace(sub: CanonicalSubspace, ctx_qn: FieldContext,
     return canonicalize(rows, n, ground)
 
 
-def orbit_of(sub: CanonicalSubspace, ctx_qn: FieldContext, alpha: int):
-    """[sub, alpha sub, alpha^2 sub, ...] up to the first repeat."""
+def orbit_of(sub: CanonicalSubspace, ctx_qn: FieldContext):
+    """[sub, alpha sub, alpha^2 sub, ...] up to the first repeat, alpha the
+    primitive element of ctx_qn."""
+    alpha = ctx_qn.primitive_index()
     orbit = [sub]
     cur = multiply_subspace(sub, ctx_qn, alpha)
     while cur != sub:
@@ -139,26 +136,22 @@ def orbit_of(sub: CanonicalSubspace, ctx_qn: FieldContext, alpha: int):
     return orbit
 
 
-def necklace_decompose(n: int, dim: int, ctx_qn: FieldContext):
-    """All necklaces of dim-dimensional subspaces of GF(q)^n; each orbit
-    starts at its representative, so orbit[t] is alpha^t times it."""
-    ground = _ground(ctx_qn)
-    if ctx_qn.degree != n:
-        raise ValueError("extension degree %d != ambient %d"
-                         % (ctx_qn.degree, n))
-    alpha = ctx_qn.primitive_index()
+def necklace_decompose(dim: int, ctx_qn: FieldContext):
+    """All necklaces of dim-dimensional subspaces of GF(q)^n, n the degree
+    of ctx_qn, as orbit tuples sorted by representative.  Each orbit starts
+    at its representative, its least member by rows, so orbit[t] is
+    alpha^t times it."""
     seen = set()
-    necklaces = []
-    for sub in enumerate_subspaces(n, dim, ground):
+    orbits = []
+    for sub in enumerate_subspaces(ctx_qn.degree, dim, _ground(ctx_qn)):
         if pack_subspace(sub) in seen:
             continue
-        orbit = orbit_of(sub, ctx_qn, alpha)
+        orbit = orbit_of(sub, ctx_qn)
         seen.update(map(pack_subspace, orbit))
         t = min(range(len(orbit)), key=lambda i: orbit[i].rows)
-        orbit = tuple(orbit[t:] + orbit[:t])
-        necklaces.append(Necklace(orbit[0], orbit, len(orbit)))
-    necklaces.sort(key=lambda nk: nk.representative.rows)
-    return necklaces
+        orbits.append(tuple(orbit[t:] + orbit[:t]))
+    orbits.sort(key=lambda orbit: orbit[0].rows)
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +169,28 @@ def _candidates(subs, used, index_of):
     return [(i, t) for i, _, t in sorted(out)]
 
 
-def search_necklace_path(n: int, ctx_qn: FieldContext) -> NecklacePath:
-    """Deterministic backtracking for the middle-levels necklace path."""
+def search_necklace_path(ctx_qn: FieldContext) -> NecklacePath:
+    """Deterministic backtracking for the middle-levels necklace path in
+    P_q(n), n the degree of ctx_qn over GF(q)."""
+    n = ctx_qn.degree
     if n not in (3, 5):
         raise ValueError("path search is implemented for n in {3, 5}")
     q = _ground(ctx_qn).q
     m = (n - 1) // 2
-    levels = (necklace_decompose(n, m, ctx_qn),
-              necklace_decompose(n, m + 1, ctx_qn))
+    levels = (necklace_decompose(m, ctx_qn),
+              necklace_decompose(m + 1, ctx_qn))
     s = len(levels[0])
     assert len(levels[1]) == s
     size = q_number(n, q)
     # every member of both levels -> (necklace, position in its orbit);
     # keys of different dimensions never collide
     index_of = {}
-    for necklaces in levels:
-        for i, nk in enumerate(necklaces):
-            for t, member in enumerate(nk.orbit):
+    for orbits in levels:
+        for i, orbit in enumerate(orbits):
+            for t, member in enumerate(orbit):
                 index_of[pack_subspace(member)] = (i, t)
 
-    x0_orbit = levels[0][0].orbit
+    x0_orbit = levels[0][0]
     path = [(x0_orbit, 0)]      # (orbit, position) of each member
     used = ({0}, set())         # necklaces visited on each level
 
@@ -218,7 +213,7 @@ def search_necklace_path(n: int, ctx_qn: FieldContext) -> NecklacePath:
             subs = subspaces_of(last, last.k - 1)
         for i, t in _candidates(subs, used[level], index_of):
             used[level].add(i)
-            path.append((levels[level][i].orbit, t))
+            path.append((levels[level][i], t))
             if extend():
                 return True
             path.pop()
@@ -241,12 +236,13 @@ def _expand(orbits, ell, start=0):
             for orbit in orbits]
 
 
-def expand_path(path: NecklacePath, ctx_qn: FieldContext) -> GraySequence:
-    """Concatenate L, alpha^ell L, ..., alpha^((N-1) ell) L."""
-    ground = _ground(ctx_qn)
+def expand_path(path: NecklacePath) -> GraySequence:
+    """Concatenate L, alpha^ell L, ..., alpha^((N-1) ell) L in P_q(n), with
+    n and GF(q) read off the first member."""
     if len({len(orbit) for orbit in path.orbits}) != 1:
         raise ValueError("visited necklaces have unequal orbit sizes")
-    return GraySequence(ctx_qn.degree, None, ground,
+    x0 = path.orbits[0][0]
+    return GraySequence(x0.n, None, x0.ctx,
                         tuple(_expand(path.orbits, path.ell)), True)
 
 
@@ -259,33 +255,24 @@ def build_full_n1(ctx: FieldContext) -> GraySequence:
     return GraySequence(1, None, ctx, items, True)
 
 
-def _check_tower(ctx, ctx_qn, n):
-    if ctx_qn.base is not ctx:
-        raise ValueError("ctx_qn must extend ctx")
-    if ctx_qn.degree != n:
-        raise ValueError("ctx_qn must have degree %d" % n)
-
-
-def build_full_n3(ctx: FieldContext, ctx_qn: FieldContext) -> GraySequence:
+def build_full_n3(ctx: FieldContext) -> GraySequence:
     """Middle levels plus W^0 and W^3 spliced at odd position 1."""
-    _check_tower(ctx, ctx_qn, 3)
-    mid = expand_path(search_necklace_path(3, ctx_qn), ctx_qn).items
+    mid = expand_path(search_necklace_path(extend_field(ctx, 3))).items
     assert mid[0].k == 1
     items = (trivial_subspace(3, ctx), mid[0], mid[1], full_subspace(3, ctx))
     items += tuple(mid[p] for p in range(len(mid) - 1, 1, -1))
     return GraySequence(3, None, ctx, items, True)
 
 
-def build_full_n5(ctx: FieldContext, ctx_qn: FieldContext) -> GraySequence:
+def build_full_n5(ctx: FieldContext) -> GraySequence:
     """The (5;q) construction: reversal splicing around the first blocks."""
-    _check_tower(ctx, ctx_qn, 5)
-    path = search_necklace_path(5, ctx_qn)
+    ctx_qn = extend_field(ctx, 5)
+    path = search_necklace_path(ctx_qn)
     xs, ys = path.orbits[0::2], path.orbits[1::2]
     s = len(xs)
     ell = path.ell
-    alpha = ctx_qn.primitive_index()
-    meet = orbit_of(intersect(xs[0][0], xs[1][0]), ctx_qn, alpha)
-    join = orbit_of(subspace_sum(ys[0][0], ys[1][0]), ctx_qn, alpha)
+    meet = orbit_of(intersect(xs[0][0], xs[1][0]), ctx_qn)
+    join = orbit_of(subspace_sum(ys[0][0], ys[1][0]), ctx_qn)
     assert meet[0].k == 1 and join[0].k == 4
 
     # L' = X_0, X_0^X_1, X_1, Y_0, Y_0+Y_1, Y_1, X_2, Y_2, ..., X_{s-1}, Y_{s-1}

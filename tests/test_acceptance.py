@@ -129,18 +129,16 @@ def test_criterion_5_projective_constructions():
 
     for q in (2, 3, 4):
         ctx = field_from_order(q)
-        ctx_q3 = extend_field(ctx, 3)
-        mid = expand_path(search_necklace_path(3, ctx_q3), ctx_q3)
+        mid = expand_path(search_necklace_path(extend_field(ctx, 3)))
         ok = ok and len(mid) == 2 * (q * q + q + 1)
-        seq = build_full_n3(ctx, ctx_q3)
+        seq = build_full_n3(ctx)
         rep = verify_gray(seq)
         ok = ok and rep.passed and rep.optimal
         ok = ok and len(seq) == 2 * q * q + 2 * q + 4
 
     for q in (2, 3):
         ctx = field_from_order(q)
-        ctx_q5 = extend_field(ctx, 5)
-        seq = build_full_n5(ctx, ctx_q5)
+        seq = build_full_n5(ctx)
         rep = verify_gray(seq)
         ok = ok and rep.passed and rep.optimal
         ok = ok and len(seq) == sum(gaussian(5, k, q) for k in range(6))

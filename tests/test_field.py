@@ -3,9 +3,11 @@ import time
 
 import pytest
 
+from grayspace.codec import CodecParams, decode_fast, encode
 from grayspace.field import (_pmod, _pmul, digits_of, extend_field,
                              field_from_order, make_field, parse_field_spec,
                              undigits)
+from grayspace.qcombin import gaussian
 
 
 def check_field_axioms(ctx, trials=200, seed=7):
@@ -101,6 +103,18 @@ def test_extend_prime_field():
     f32 = extend_field(f2, 5)
     assert f32.q == 32 and f32.base is f2
     check_field_axioms(f32, trials=100)
+
+
+def test_one_context_per_field():
+    # a field named by its order and the same field built as a tower are
+    # one context, so codes over either name agree
+    assert make_field(2, 3) is extend_field(make_field(2, 1), 3)
+    assert field_from_order(9) is extend_field(field_from_order(3), 2)
+    f8, tower8 = field_from_order(8), extend_field(field_from_order(2), 3)
+    for a, b in ((f8, tower8), (tower8, f8)):
+        for m in (0, 5, gaussian(6, 2, 8) - 1):
+            sub = encode(CodecParams(6, 2, a), m)
+            assert decode_fast(CodecParams(6, 2, b), sub) == m
 
 
 def test_field_from_order_and_spec():

@@ -504,10 +504,11 @@ def test_packed_rows_carry_through_derived_subspaces(case):
     # unpacked
     assert a.packed == _packing_of(a)
     a = L.CanonicalSubspace(ctx, a.n, a.rows, a.pivots)
-    assert a.packed is None and _append_zero_col(a, 2).packed is None
+    assert (a.packed is None
+            and _append_zero_col(_append_zero_col(a)).packed is None)
     L.contains(a, v)
     assert a.packed == _packing_of(a)
-    padded = _append_zero_col(a, 3)
+    padded = _append_zero_col(_append_zero_col(_append_zero_col(a)))
     assert padded.packed == _packing_of(padded)
     x = L.reduce_vector(a, v)
     if any(x):

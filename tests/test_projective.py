@@ -8,10 +8,10 @@ from grayspace import linalg as L
 from grayspace.grassmann_gray import (GraySequence, dual_code,
                                       read_gray_file, verify_gray,
                                       write_gray_file)
-from grayspace.projective_gray import (build_full_n1, build_full_n3,
-                                       build_full_n5, expand_path,
-                                       fixture_code_2_2, multiply_subspace,
-                                       necklace_decompose,
+from grayspace.projective_gray import (NecklacePath, build_full_n1,
+                                       build_full_n3, build_full_n5,
+                                       expand_path, fixture_code_2_2,
+                                       multiply_subspace, necklace_decompose,
                                        nonexistence_certificate,
                                        search_necklace_path)
 from grayspace.qcombin import gaussian, q_number
@@ -62,18 +62,18 @@ def test_necklace_decompose_counts():
     for (n, q, dim, count) in [(3, 2, 1, 1), (3, 2, 2, 1), (3, 3, 1, 1),
                                (5, 2, 2, 5), (5, 2, 3, 5)]:
         ctx, ctx_qn = tower(q, n)
-        necklaces = necklace_decompose(n, dim, ctx_qn)
-        assert len(necklaces) == count
+        orbits = necklace_decompose(dim, ctx_qn)
+        assert len(orbits) == count
         size = q_number(n, q)
         total = 0
         seen = set()
-        for nk in necklaces:
-            assert nk.size == size
-            assert nk.representative == min(nk.orbit, key=lambda s: s.rows)
-            for member in nk.orbit:
+        for orbit in orbits:
+            assert len(orbit) == size
+            assert orbit[0] == min(orbit, key=lambda s: s.rows)
+            for member in orbit:
                 assert member not in seen
                 seen.add(member)
-            total += nk.size
+            total += len(orbit)
         assert total == gaussian(n, dim, q)
 
 
@@ -107,7 +107,7 @@ def test_path_orbits_are_alpha_multiples():
     for n, q in [(3, 2), (3, 3), (3, 4), (3, 9), (5, 2)]:
         ctx, ctx_qn = tower(q, n)
         alpha = ctx_qn.primitive_index()
-        path = search_necklace_path(n, ctx_qn)
+        path = search_necklace_path(ctx_qn)
         for orbit in path.orbits:
             assert len(orbit) == q_number(n, q)
             for t, sub in enumerate(orbit):
@@ -118,7 +118,7 @@ def test_path_orbits_are_alpha_multiples():
 def test_search_necklace_path_n3():
     for q in (2, 3):
         ctx, ctx_qn = tower(q, 3)
-        path = search_necklace_path(3, ctx_qn)
+        path = search_necklace_path(ctx_qn)
         assert len(path.reps) == 2
         x0, y0 = path.reps
         assert (x0.k, y0.k) == (1, 2)
@@ -128,7 +128,7 @@ def test_search_necklace_path_n3():
 
 def test_search_necklace_path_n5():
     ctx, ctx_qn = tower(2, 5)
-    path = search_necklace_path(5, ctx_qn)
+    path = search_necklace_path(ctx_qn)
     assert len(path.reps) == 10
     dims = [s.k for s in path.reps]
     assert dims == [2, 3] * 5
@@ -139,15 +139,29 @@ def test_search_necklace_path_n5():
 def test_expand_path_middle_levels():
     for q in (2, 3):
         ctx, ctx_qn = tower(q, 3)
-        mid = expand_path(search_necklace_path(3, ctx_qn), ctx_qn)
+        mid = expand_path(search_necklace_path(ctx_qn))
         assert len(mid) == 2 * (q * q + q + 1)
         report = verify_gray(mid, require_optimal=False)
         assert report.passed and report.duplicates == 0
 
     ctx, ctx_qn = tower(2, 5)
-    mid = expand_path(search_necklace_path(5, ctx_qn), ctx_qn)
+    mid = expand_path(search_necklace_path(ctx_qn))
     assert len(mid) == 310
     assert verify_gray(mid, require_optimal=False).passed
+
+
+def test_necklace_entry_points_reject_bad_input():
+    # the path search is implemented for degrees 3 and 5 only
+    with pytest.raises(ValueError):
+        search_necklace_path(tower(2, 4)[1])
+    # necklaces live in an extension GF(q^n), not in a prime field
+    with pytest.raises(ValueError):
+        necklace_decompose(1, field_from_order(5))
+    # orbits of unequal size cannot be expanded block by block
+    path = search_necklace_path(tower(2, 3)[1])
+    short = NecklacePath((path.orbits[0], path.orbits[1][:-1]), path.ell)
+    with pytest.raises(ValueError):
+        expand_path(short)
 
 
 def test_build_full_n1():
@@ -159,8 +173,8 @@ def test_build_full_n1():
 
 def test_build_full_n3():
     for q, length in [(2, 16), (3, 28), (4, 44)]:
-        ctx, ctx_qn = tower(q, 3)
-        seq = build_full_n3(ctx, ctx_qn)
+        ctx = field_from_order(q)
+        seq = build_full_n3(ctx)
         assert len(seq) == length == 2 * q * q + 2 * q + 4
         assert seq.items[0].k == 0 and seq.items[1].k == 1
         report = verify_gray(seq)
@@ -169,8 +183,8 @@ def test_build_full_n3():
 
 def test_build_full_n5():
     for q, length in [(2, 374), (3, 2664), (4, 12278)]:
-        ctx, ctx_qn = tower(q, 5)
-        seq = build_full_n5(ctx, ctx_qn)
+        ctx = field_from_order(q)
+        seq = build_full_n5(ctx)
         assert len(seq) == length
         assert length == sum(gaussian(5, k, q) for k in range(6))
         report = verify_gray(seq)
@@ -178,8 +192,8 @@ def test_build_full_n5():
 
 
 def test_build_full_n3_coverage():
-    ctx, ctx_qn = tower(2, 3)
-    seq = build_full_n3(ctx, ctx_qn)
+    ctx = field_from_order(2)
+    seq = build_full_n3(ctx)
     everything = set()
     for k in range(4):
         everything.update(L.enumerate_subspaces(3, k, ctx))
@@ -203,8 +217,8 @@ def test_verify_subspace_flags():
 
 
 def test_proj_file_roundtrip():
-    ctx, ctx_qn = tower(2, 3)
-    seq = build_full_n3(ctx, ctx_qn)
+    ctx = field_from_order(2)
+    seq = build_full_n3(ctx)
     buf = io.StringIO()
     write_gray_file(buf, seq)
     back = read_gray_file(io.StringIO(buf.getvalue()))
@@ -215,8 +229,8 @@ def test_proj_file_roundtrip():
 
 
 def test_proj_file_crlf_and_trailing_blanks():
-    ctx, ctx_qn = tower(3, 3)
-    seq = build_full_n3(ctx, ctx_qn)
+    ctx = field_from_order(3)
+    seq = build_full_n3(ctx)
     buf = io.StringIO()
     write_gray_file(buf, seq)
     text = buf.getvalue()
@@ -230,8 +244,8 @@ def test_proj_file_crlf_and_trailing_blanks():
 
 def test_projective_dual_code():
     # complements reverse containment: the dual is again a P_q(n) code
-    ctx, ctx_qn = tower(2, 3)
-    d = dual_code(build_full_n3(ctx, ctx_qn))
+    ctx = field_from_order(2)
+    d = dual_code(build_full_n3(ctx))
     assert d.k is None
     report = verify_gray(d)
     assert report.passed and report.optimal and report.k is None
