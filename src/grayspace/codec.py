@@ -14,15 +14,15 @@ fixes each level's top: encode reads (top, i, jpos) off the Gaussian
 counts, decode_fast reads each row's top once, orders the rows by it and
 checks the canonical-extension conditions.  A bottom-up pass then starts
 from the simple subspace at the full width n and adds one row per level
-with extend_subspace, keeping beside the base only the list of its
-nonpivot columns; per level it computes the class c and the block's
-closing class, then the index or the row.
+with extend_subspace, keeping nothing beside the base: per level it
+reads the class c and the block's closing class between the base's
+pivots (_row_class), then the index or the row (_class_row).
 
-The closing class depends on the base's successor.  Every level yields,
-with its row, one vector x spanning the item's successor modulo the item,
-read off its block position (_next_direction), and hands it up to the
-level above: a block with a successor reads its closing class off the x
-of its base in one vector reduction, and no successor is ever encoded.
+The closing class depends on the base's successor.  Every level hands
+up, with its row, the means to build one vector x spanning the item's
+successor modulo the item from its block position (_next_direction): a
+block with a successor builds the x of its base and reads its closing
+class off it in one vector reduction, and no successor is ever encoded.
 
 decode is the plain reference decode_fast is tested against: it strips
 one zero column at a time, recurses once per extension level and takes
@@ -32,13 +32,14 @@ successor.  decode_via_dual and the command line use decode_fast.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
-                             closing_class_index, _class_digits,
-                             _closing_class, _nonpivot_columns, _rep_vector)
+                             closing_class_index, _class_row,
+                             _closing_class, _row_class)
 from .linalg import (CanonicalSubspace, _check_entries, dual,
                      extend_subspace, last_nonzero, leading_column,
                      simple_subspace)
@@ -64,26 +65,10 @@ class CodecParams:
         return gaussian(self.n, self.k, self.q)
 
 
-def _grow(base, nonpiv, v, lead, top, n):
-    """base plus the row v of a level with this top, whose item lives in
-    W^n; nonpiv, base's nonpivot columns below top-1, becomes the new
-    base's below n.
-
-    v ends in 1 at column top-1 and leads on a nonpivot column (or on
-    top-1 itself), so that column leaves the nonpivots, top-1 joins them
-    unless it is the lead, and so do columns top..n-1.
-    """
-    if lead != top - 1:
-        del nonpiv[bisect_left(nonpiv, lead)]
-        nonpiv.append(top - 1)
-    nonpiv.extend(range(top, n))
-    return extend_subspace(base, v)
-
-
 def _encode(n, k, q, ctx, m):
-    """(item, x): the m-th item of the (n,k) code and a vector x of length
-    n that spans the successor (item m+1, cyclically) modulo the item
-    itself, None for k = 0 or k = n; the mirror of _decode_fast.
+    """(item, x): the m-th item of the (n,k) code and a function x() that
+    gives a vector of length n spanning the successor (item m+1,
+    cyclically) modulo the item; x is None for k = 0 or k = n.
     """
     width_n = n
     x = None
@@ -97,7 +82,7 @@ def _encode(n, k, q, ctx, m):
             top -= 1
             g1 = gaussian_product_tree(top - 1, k, q)
         if top == k:
-            x = _unit(n, k)
+            x = partial(_unit, n, k)
             break
         width = q ** (top - k)
         g2 = gaussian_product_tree(top - 1, k - 1, q)
@@ -108,15 +93,14 @@ def _encode(n, k, q, ctx, m):
         n, k, m = top - 1, k - 1, i
     # bottom-up: every base has rows of width width_n, zero from its top on
     base = simple_subspace(width_n, k, ctx)
-    nonpiv = list(range(k, n))
-    pad = (0,) * width_n
     for n, k, top, i, jpos, width, g2 in reversed(levels):
         # a lone block (g2 = 1) runs in plain order and closes on width-1
-        last = _closing_class(base, x, nonpiv) if g2 > 1 else width - 1
+        last = _closing_class(base, x()) if g2 > 1 else width - 1
         c = class_at_position(last, width, jpos)
-        v = tuple(_rep_vector(q, top, nonpiv, c)) + pad[top:]
-        x = _next_direction(ctx, n, k, top, i, jpos, width, c, last, nonpiv)
-        base = _grow(base, nonpiv, v, leading_column(v), top, n)
+        pivots = base.pivots
+        x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
+                    pivots)
+        base = extend_subspace(base, _class_row(c, pivots, top, width_n, q))
     return base, x
 
 
@@ -137,36 +121,27 @@ def _extension_parts(ctx, n, rows):
     in 1 there and vanish on the base's pivot columns, as the canonical
     matrix does; otherwise ValueError.
     """
-    v = None
-    inner_rows = []
-    for r in rows:
-        if r[n - 1]:
-            if v is not None:
-                raise ValueError("not a canonical extension matrix")
-            v = r
-        else:
-            inner_rows.append(r[:n - 1])
+    v, *more = [r for r in rows if r[n - 1]]
+    inner_rows = tuple([r[:n - 1] for r in rows if not r[n - 1]])
     pivots = tuple(map(leading_column, inner_rows))
-    if v[n - 1] != 1 or any(map(v.__getitem__, pivots)):
+    if more or v[n - 1] != 1 or any(map(v.__getitem__, pivots)):
         raise ValueError("not a canonical extension matrix")
-    return v, CanonicalSubspace(ctx, n - 1, tuple(inner_rows), pivots)
+    return v, CanonicalSubspace(ctx, n - 1, inner_rows, pivots)
 
 
 def _decode(n, k, q, ctx, rows, g):
-    while True:
-        if k == 0 or k == n:
-            return 0
+    while 0 < k < n:
         g2, g1 = gaussian_step_down(g, n, k, q)
-        if all(r[n - 1] == 0 for r in rows):
-            rows = [r[:n - 1] for r in rows]
-            n -= 1
-            g = g1
-            continue
-        break
+        if any(map(itemgetter(n - 1), rows)):
+            break
+        rows = [r[:n - 1] for r in rows]    # strip a zero column
+        n, g = n - 1, g1
+    else:
+        return 0
     v, base = _extension_parts(ctx, n, rows)
     i = _decode(n - 1, k - 1, q, ctx, base.rows, g2)
     width = q ** (n - k)
-    c = _class_digits(v, _nonpivot_columns(base), q)
+    c = _row_class(v, base.pivots, n - 1, q)
     if g2 == 1:
         last = width - 1
     else:
@@ -182,28 +157,12 @@ def _unit(n, i):
     return e
 
 
-def _class_step(sub, q, nonpiv, n, a, b):
-    """The representative of class b minus that of class a, length n.
-
-    Only the digits where a and b differ are visited, so one step to the
-    next class touches O(1) columns on average.
-    """
-    x = [0] * n
-    for r in nonpiv:
-        if a == b:
-            break
-        a, da = divmod(a, q)
-        b, db = divmod(b, q)
-        x[r] = sub(db, da)
-    return x
-
-
-def _next_direction(ctx, n, k, top, i, jpos, width, c, last, nonpiv):
+def _next_direction(q, n, k, top, i, jpos, width, last, pivots):
     """A vector of length n spanning an item's successor modulo the item.
 
-    The item extends a base of W^(top-1) by class c at position jpos of
-    block i, and the block closes with class last.  The successor, and so
-    the vector, is:
+    The item extends a base of W^(top-1), with these pivots, by the class
+    at position jpos of block i, and the block closes with class last.
+    The successor, and so the vector, is:
     - for the simple subspace, item 1, the first item leaving W^k: e_k,
       which the walks write themselves where they reach it;
     - for the last item of the code, the simple subspace: e_{k-1};
@@ -212,26 +171,23 @@ def _next_direction(ctx, n, k, top, i, jpos, width, c, last, nonpiv):
       and 2 otherwise (by the first rule a simple base closes its block
       with class 1);
     - at a block change, class 0 of the next block: e_{top-1};
-    - inside a block, the next class: the difference of the two
-      representatives.
+    - inside a block, the next class: its representative, equal modulo
+      the item to the difference of the two representatives.
     """
     if i == 0 and jpos == 0:
         if top == n:
             return _unit(n, k - 1)
-        x = _class_step(ctx.sub, ctx.q, range(k - 1, top), n, 0,
-                        1 if k == 1 else 2)
-        x[top] = 1
-        return x
+        return _class_row(1 if k == 1 else 2, range(k - 1), top + 1, n, q)
     if jpos == width - 1:
         return _unit(n, top - 1)
-    return _class_step(ctx.sub, ctx.q, nonpiv, n, c,
-                       class_at_position(last, width, jpos + 1))
+    return _class_row(class_at_position(last, width, jpos + 1), pivots, top,
+                      n, q)
 
 
 def _decode_fast(n, k, q, ctx, rows):
-    """(index, x): the index of span(rows) in the (n,k) code and a vector
-    x of length n that spans the successor (item index+1, cyclically)
-    modulo the item, None for k = 0 or k = n; the mirror of _encode.
+    """(index, x): the index of span(rows) in the (n,k) code and, as in
+    _encode, a function x() giving a vector spanning the successor (item
+    index+1, cyclically) modulo the item; the mirror of _encode.
     """
     if k == 0 or k == n:
         return 0, None
@@ -246,7 +202,7 @@ def _decode_fast(n, k, q, ctx, rows):
     for depth, j in enumerate(order):
         top = tops[j]
         if top == k:
-            x = _unit(n, k)
+            x = partial(_unit, n, k)
             break
         v = rows[j]
         below = order[depth + 1:]
@@ -259,20 +215,21 @@ def _decode_fast(n, k, q, ctx, rows):
     # the rows left below the last level have tops <= k and pivots
     # 0..k-1, so they span W^k: the simple base reduces as they would
     base = simple_subspace(width_n, k, ctx)
-    nonpiv = list(range(k, n))
     index = 0
     for n, k, top, j, g2 in reversed(levels):
         v = rows[j]
-        c = _class_digits(v, nonpiv, q)
+        pivots = base.pivots
+        c = _row_class(v, pivots, top - 1, q)
         width = q ** (top - k)
         # as in _encode, a lone block closes on width-1
-        last = _closing_class(base, x, nonpiv) if g2 > 1 else width - 1
+        last = _closing_class(base, x()) if g2 > 1 else width - 1
         jpos = class_position(last, width, c)
         i = index
         index = gaussian_product_tree(top - 1, k, q) + (
             (width * i + jpos - 1) % (width * g2))
-        x = _next_direction(ctx, n, k, top, i, jpos, width, c, last, nonpiv)
-        base = _grow(base, nonpiv, v, leads[j], top, n)
+        x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
+                    pivots)
+        base = extend_subspace(base, v)
     return index, x
 
 

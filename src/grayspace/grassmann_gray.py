@@ -17,14 +17,16 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field as dfield
-from itertools import chain
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import mul
 
 from .field import FieldContext, field_from_order
 from .linalg import (CanonicalSubspace, _append_zero_col, contains, dual,
                      extension_block, grassmann_adjacent, intersect,
-                     is_simple, leading_column, pack_subspace,
-                     projective_adjacent, reduce_vector, scale_vector,
-                     simple_subspace, format_subspace, parse_subspace)
+                     is_simple, pack_subspace, projective_adjacent,
+                     reduce_vector, scale_vector, simple_subspace,
+                     format_subspace, parse_subspace)
 from .qcombin import gaussian
 
 
@@ -55,41 +57,67 @@ class GraySequence:
         return len(self.items)
 
 
-def _nonpivot_columns(base: CanonicalSubspace):
-    out = []
-    start = 0
-    for p in base.pivots:
-        out.extend(range(start, p))
-        start = p + 1
-    out.extend(range(start, base.n))
-    return out
-
-
 def _block(base: CanonicalSubspace, classes):
     """The extensions of base by the classes, in order, in W^(base.n+1)."""
-    return extension_block(_append_zero_col(base), _nonpivot_columns(base),
-                           base.n, classes)
+    nonpiv = sorted(set(range(base.n)).difference(base.pivots))
+    return extension_block(_append_zero_col(base), nonpiv, base.n, classes)
 
 
-def _rep_vector(q, n, nonpiv, j):
-    """Representative of class j in W^n: base-q digits of j on nonpiv, last
-    entry 1."""
-    v = [0] * n
-    v[n - 1] = 1
-    for r in nonpiv:
-        if not j:
-            break
-        j, d = divmod(j, q)
-        v[r] = d
-    return v
+# Class j of a base of W^(top-1) is represented in W^top by j's base-q
+# digits, lowest first, on the base's nonpivot columns and 1 in column
+# top-1.  j is converted to or from its whole digit string at once (a
+# bytearray, or a list for q > 256), which goes into a row with a 0
+# inserted at each of the base's pivots and comes out with them deleted.
+
+_TO_ALNUM = bytes.maketrans(bytes(range(36)),
+                            b"0123456789abcdefghijklmnopqrstuvwxyz")
+_FROM_ALNUM = bytes.maketrans(_TO_ALNUM[:36], bytes(range(36)))
+_FORMATS = {2: "b", 8: "o", 16: "x"}
 
 
-def _class_digits(v, nonpiv, q):
-    """Inverse of _rep_vector: the class index read off v's digits."""
-    c = 0
-    for r in reversed(nonpiv):
-        c = c * q + v[r]
-    return c
+@lru_cache(maxsize=None)
+def _digit_table(q):
+    """(q^t, the t digits of each r < q^t), t largest with q^t <= 4096."""
+    table = one = [(bytearray if q <= 256 else list)((a,)) for a in range(q)]
+    while len(table) * q <= 4096:
+        table = [a + b for b in table for a in one]
+    return len(table), table
+
+
+def _class_row(c, pivots, top, n, q):
+    """The representative of class c of a base with these sorted pivots,
+    in n columns: c's digits (by format for q = 2, 8, 16, else q^t at a
+    time) on the nonpivots below top-1, 1 at top-1 and 0 from top on."""
+    w = top - 1 - len(pivots)
+    fmt = _FORMATS.get(q)
+    if fmt:
+        row = bytearray((format(c, fmt) if c else "").zfill(w).encode()
+                        [::-1].translate(_FROM_ALNUM))
+    else:
+        chunk, table = _digit_table(q)
+        row = table[0][:0]
+        while c:
+            c, r = divmod(c, chunk)
+            row += table[r]
+        row.extend(bytes(w))            # pad, then cut to w digits
+        del row[w:]
+    for p in pivots:
+        row.insert(p, 0)
+    row.append(1)
+    row.extend(bytes(n - top))
+    return tuple(row)
+
+
+def _row_class(v, pivots, stop, q):
+    """The class whose digits v holds on the columns below stop that are
+    not pivots; the inverse of _class_row."""
+    d = (bytearray if q <= 256 else list)(v[:stop])
+    for p in reversed(pivots):
+        del d[p]
+    if q <= 36:
+        return int(d[::-1].translate(_TO_ALNUM) or b"0", q)
+    return sum(map(mul, d, accumulate(repeat(q, len(d) - 1), mul,
+                                      initial=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,33 +139,29 @@ def closing_class_index(base: CanonicalSubspace,
                         succ: CanonicalSubspace) -> int:
     """Class of the block-closing extension of base, given the next base.
 
-    Both bases live in W^(n-1) and intersect in codimension 1 there.  The
-    result is never 0, so the closing class differs from the opening one.
+    Both bases live in W^(n-1) and meet in codimension 1 there.  Any row
+    of succ outside base names the class, which is never 0 (the opening
+    class); the last rows, most often the ones outside, are tried first.
     """
-    nonpiv = _nonpivot_columns(base)
-    for u in succ.rows:
-        c = _closing_class(base, u, nonpiv)
+    for u in reversed(succ.rows):
+        c = _closing_class(base, u)
         if c is not None:
             return c
     raise ValueError("successor base equals the current base")
 
 
-def _closing_class(base: CanonicalSubspace, x, nonpiv):
-    """The class x picks modulo base, or None when x lies in base.
-
-    x is reduced against base and scaled to lead with 1; the class digits
-    are read off nonpiv, base's nonpivot columns, which the codec keeps as
-    it grows its bases.  base's rows may be longer than x if they are zero
-    past it.
-    """
+def _closing_class(base: CanonicalSubspace, x):
+    """The class x picks modulo base, or None when x lies in base: the
+    digits between base's pivots of x reduced against base (whose rows may
+    be longer than x if zero past it) and scaled to lead with 1."""
     x = reduce_vector(base, x)
-    lead = leading_column(x)
-    if lead == len(x):
+    lead = next(filter(None, x), 0)     # x's leading entry
+    if not lead:
         return None
     ctx = base.ctx
-    if x[lead] != 1:
-        x = scale_vector(ctx, x, ctx.inv(x[lead]))
-    return _class_digits(x, nonpiv, ctx.q)
+    if lead != 1:
+        x = scale_vector(ctx, x, ctx.inv(lead))
+    return _row_class(x, base.pivots, len(x), ctx.q)
 
 
 def block_class_order(base: CanonicalSubspace, succ, width: int):
@@ -283,12 +307,11 @@ def _allowed_class_indices(prev_base, prev_rep, cur_base):
     ctx = cur_base.ctx
     add, mul = ctx.add, ctx.mul
     u = next(r for r in prev_base.rows if not contains(cur_base, r))
-    nonpiv = _nonpivot_columns(cur_base)
     # prev_rep + eps*u ends in 1 (u lies in the hyperplane), so its class
     # is read off the reduction of the rest: zip drops that last entry
-    return {_class_digits(reduce_vector(
+    return {_row_class(reduce_vector(
                 cur_base, [add(x, mul(eps, y)) for x, y in zip(prev_rep, u)]),
-                nonpiv, ctx.q)
+                cur_base.pivots, cur_base.n, ctx.q)
             for eps in range(ctx.q)}
 
 

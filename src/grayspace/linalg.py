@@ -17,26 +17,24 @@ lane at bit c << sh.  sh is 3 for q <= 256, so a row is
 int.from_bytes(bytearray(row), "little") and column c is the byte at bits
 8c..8c+7; above 256 it is 4, 16-bit lanes, which hold every field up to
 field.MAX_FIELD_SIZE.  The field's _Lanes holds the lane width and the
-arithmetic, and only _eliminate and scaling differ from field to field:
+arithmetic; only row clearing (_clearer for one row, _eliminate for
+several) and scaling differ from field to field:
 - Scaling by f is bytes.translate with the 256-byte table e -> f*e for
   q <= 256, one table per (field, f), built the first time f is used;
   above 256 it goes entry by entry.
 - Rows add lane by lane over the lanewise fields, those with byte lanes
-  of characteristic 2 or prime below 128.  In characteristic 2 row
-  addition is XOR; GF(2) is the case where every multiplier is 1, so its
-  loops read no table.  In a prime field, rows add lane by lane and every
-  lane that reached p then loses p:
+  of characteristic 2 or prime below 128.  In characteristic 2 that is
+  XOR, and over GF(2) every multiplier is 1, so no table is read.  Over
+  a prime p, every lane of a sum that reached p then loses p:
   x -= (((x + (128-p)*ONES) & (0x80*ONES)) >> 7) * p, with ONES = 1 in
-  every lane.  This holds as long as every lane stays below p between
-  additions: two residues below p sum to at most 2p - 2 <= 252, so adding
-  128 - p sets bit 7 exactly when the sum reached p and no lane carries
-  into its neighbour.
+  every lane.  Two residues below p sum to at most 2p - 2 <= 252, so
+  adding 128 - p sets bit 7 exactly when the sum reached p and no lane
+  carries into its neighbour.
 - Every other field adds entry by entry with field calls on the unpacked
   rows: the odd extension fields (q = 9, 25, 27, ..., 243), whose
-  addition works digit by digit, not lane by lane; the primes 131..251,
-  whose sums overflow a byte; and every q > 256, whose rows are scaled
-  entry by entry anyway.  reduce_vector hands their vectors to that loop
-  unpacked.
+  addition works digit by digit; the primes 131..251, whose sums
+  overflow a byte; and every q > 256.  reduce_vector hands their vectors
+  to that loop unpacked.
 - rref and tau go row by row, not column by column: x & -x gives a row's
   lowest nonzero lane and x.bit_length() its top one, so neither scans
   empty columns.
@@ -209,7 +207,8 @@ def _rref(rows, n: int, lanes: _Lanes):
     kept as the basis row of that lane.  Last, every row from the
     second-to-last up is cleared on the pivots below it.
     """
-    inv, gf2, sh, mask = lanes.ctx.inv, lanes.ctx.q == 2, lanes.sh, lanes.mask
+    inv, sh, mask = lanes.ctx.inv, lanes.sh, lanes.mask
+    clear = _clearer(lanes.ctx, n)
     basis = {}              # pivot column -> row
     for x in rows:
         while x:
@@ -221,7 +220,7 @@ def _rref(rows, n: int, lanes: _Lanes):
                     x = lanes.scale(x, inv(lead), n)
                 basis[c] = x
                 break
-            x = x ^ row if gf2 else _eliminate(x, (row,), (c,), lanes, n)
+            x = clear(x, row, c)
     pivots = sorted(basis)
     out = [basis[c] for c in pivots]
     for i in range(len(out) - 2, -1, -1):
@@ -242,14 +241,15 @@ def _tau(work: list, n: int, lanes: _Lanes):
     there is one, then scaled to end in 1 and placed on its top lane: the
     column loop's output, without a scan over the columns.
     """
-    inv, gf2, sh = lanes.ctx.inv, lanes.ctx.q == 2, lanes.sh
+    inv, sh = lanes.ctx.inv, lanes.sh
+    clear = _clearer(lanes.ctx, n)
     placed = {}             # column a row ends on -> row
     for i in range(len(work) - 1, -1, -1):
         x = work[i]
         c = x.bit_length() - 1 >> sh
         while c in placed:
             row = placed[c]
-            x = x ^ row if gf2 else _eliminate(x, (row,), (c,), lanes, n)
+            x = clear(x, row, c)
             c = x.bit_length() - 1 >> sh
         last = x >> (c << sh)
         if last != 1:
@@ -288,9 +288,11 @@ def trivial_subspace(n: int, ctx: FieldContext) -> CanonicalSubspace:
 
 
 def simple_subspace(n: int, k: int, ctx: FieldContext) -> CanonicalSubspace:
-    """The subspace with canonical matrix [I_k | 0]."""
+    """The subspace with canonical matrix [I_k | 0], packed rows filled."""
     rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(k))
-    return CanonicalSubspace(ctx, n, rows, tuple(range(k)))
+    sh = _lanes(ctx).sh
+    return CanonicalSubspace(ctx, n, rows, tuple(range(k)),
+                             tuple(1 << (i << sh) for i in range(k)))
 
 
 def full_subspace(n: int, ctx: FieldContext) -> CanonicalSubspace:
@@ -382,24 +384,38 @@ def _eliminate(x, rows, pivots, lanes: _Lanes, width: int) -> int:
     if not lanes.lanewise:
         return lanes.pack(_eliminate_entries(lanes.unpack(x, width), rows,
                                              pivots, lanes, width))
-    neg_inv, p = lanes.neg_inv, lanes.p
-    if p != 2:
-        ones = (1 << (width << 3)) // 255       # 1 in each of width lanes
-        low, high = (128 - p) * ones, ones << 7
+    clear = _clearer(lanes.ctx, width)
     for row, c in zip(rows, pivots):
-        s = c << 3
-        e = x >> s & 255
-        if e:
-            f = lanes[neg_inv[row >> s & 255]][e]
-            if f != 1:
-                row = int.from_bytes(row.to_bytes(width, "little")
-                                     .translate(lanes[f]), "little")
-            if p == 2:
-                x ^= row
-            else:
-                x += row
-                x -= ((x + low & high) >> 7) * p
+        if x >> (c << 3) & 255:
+            x = clear(x, row, c)
     return x
+
+
+@lru_cache(maxsize=None)
+def _clearer(ctx: FieldContext, width: int):
+    """clear(x, row, c): one row of _eliminate, for rows of at most width
+    lanes nonzero on lane c; the field's case and the constants of the
+    prime lane sum are settled once per width."""
+    lanes = _lanes(ctx)
+    if ctx.q == 2:
+        return lambda x, row, c: x ^ row
+    if not lanes.lanewise:
+        return lambda x, row, c: _eliminate(x, (row,), (c,), lanes, width)
+    neg_inv, p = lanes.neg_inv, lanes.p
+    ones = (1 << (width << 3)) // 255       # 1 in each of width lanes
+    low, high = (128 - p) * ones, ones << 7
+
+    def clear(x, row, c):
+        s = c << 3
+        f = lanes[neg_inv[row >> s & 255]][x >> s & 255]
+        if f != 1:
+            row = int.from_bytes(row.to_bytes(width, "little")
+                                 .translate(lanes[f]), "little")
+        if p == 2:
+            return x ^ row
+        x += row
+        return x - ((x + low & high) >> 7) * p
+    return clear
 
 
 def _eliminate_entries(v, rows, pivots, lanes: _Lanes, width: int) -> list:

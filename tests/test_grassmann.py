@@ -11,8 +11,8 @@ from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
                                       GraySequence, RandomChoiceSource,
                                       ScriptedChoiceSource,
                                       _allowed_class_indices, _block,
-                                      _closing_class, _nonpivot_columns,
-                                      _rep_vector, block_class_order,
+                                      _class_row, _closing_class, _row_class,
+                                      block_class_order,
                                       build_general, build_simple,
                                       closing_class_index, dual_code,
                                       iter_simple, read_gray_file,
@@ -23,12 +23,112 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 
 
+def _nonpivot_columns(base):
+    """base's nonpivot columns, ascending."""
+    return [c for c in range(base.n) if c not in base.pivots]
+
+
+def oracle_rep_vector(q, n, nonpiv, j):
+    """Representative of class j in W^n: base-q digits of j on nonpiv, last
+    entry 1; one divmod per digit."""
+    v = [0] * n
+    v[n - 1] = 1
+    for r in nonpiv:
+        if not j:
+            break
+        j, d = divmod(j, q)
+        v[r] = d
+    return v
+
+
+def oracle_class_digits(v, nonpiv, q):
+    """Inverse of oracle_rep_vector: the class index read off v's digits
+    one multiply-add per digit."""
+    c = 0
+    for r in reversed(nonpiv):
+        c = c * q + v[r]
+    return c
+
+
+def oracle_class_step(sub, q, nonpiv, n, a, b):
+    """The representative of class b minus that of class a, length n,
+    visiting only the digits where a and b differ."""
+    x = [0] * n
+    for r in nonpiv:
+        if a == b:
+            break
+        a, da = divmod(a, q)
+        b, db = divmod(b, q)
+        x[r] = sub(db, da)
+    return x
+
+
 def representatives(base):
     """The explicit representative of every class of base, in class order:
     vectors of W^(base.n+1)."""
     q, nonpiv = base.ctx.q, _nonpivot_columns(base)
-    return [tuple(_rep_vector(q, base.n + 1, nonpiv, j))
+    return [tuple(oracle_rep_vector(q, base.n + 1, nonpiv, j))
             for j in range(q ** len(nonpiv))]
+
+
+# -- class digits by slices against the digit loops ---------------------------
+
+RADIX_QS = (2, 3, 4, 5, 8, 9, 36, 37, 64, 256, 257, 1024)
+
+
+def _draw_radix_case(data):
+    """(q, pivots, top, n, nonpiv, rng): sorted pivots below top-1, top up
+    to 512; the densities give no pivot, every pivot, runs of adjacent
+    ones and column 0 among them."""
+    q = data.draw(st.sampled_from(RADIX_QS), label="q")
+    top = data.draw(st.integers(1, 512), label="top")
+    n = top + data.draw(st.integers(0, 3), label="pad")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    density = data.draw(st.sampled_from((0, 0.05, 0.5, 0.95, 1)),
+                        label="density")
+    pivots = tuple(c for c in range(top - 1) if rng.random() < density)
+    nonpiv = [c for c in range(top - 1) if c not in set(pivots)]
+    return q, pivots, top, n, nonpiv, rng
+
+
+def _draw_class(data, q, w, rng):
+    """0, 1, the last class or a random one of the q^w classes."""
+    kind = data.draw(st.sampled_from(("zero", "one", "last", "random")),
+                     label="class")
+    width = q ** w
+    return {"zero": 0, "one": min(1, width - 1), "last": width - 1,
+            "random": rng.randrange(width)}[kind]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_class_row_and_row_class_match_the_digit_loops(data):
+    q, pivots, top, n, nonpiv, rng = _draw_radix_case(data)
+    j = _draw_class(data, q, len(nonpiv), rng)
+    row = _class_row(j, pivots, top, n, q)
+    assert row == (tuple(oracle_rep_vector(q, top, nonpiv, j))
+                   + (0,) * (n - top))
+    assert _row_class(row, pivots, top - 1, q) == j
+    # any entries on the pivot columns and from top-1 on are ignored
+    v = [rng.randrange(q) for _ in range(n)]
+    c = _row_class(v, pivots, top - 1, q)
+    assert c == oracle_class_digits(v, nonpiv, q)
+    back = _class_row(c, pivots, top, n, q)
+    assert [back[r] for r in nonpiv] == [v[r] for r in nonpiv]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_class_row_differences_match_the_class_step(data):
+    q, pivots, top, n, nonpiv, rng = _draw_radix_case(data)
+    if q == 36:
+        q = 37      # not a field order
+    ctx = field_from_order(q)
+    a = _draw_class(data, q, len(nonpiv), rng)
+    b = _draw_class(data, q, len(nonpiv), rng)
+    step = [ctx.sub(y, x) for x, y in zip(_class_row(a, pivots, top, n, q),
+                                          _class_row(b, pivots, top, n, q))]
+    assert step == oracle_class_step(ctx.sub, q, nonpiv, n, a, b)
 
 
 def test_explicit_representatives_examples():
@@ -257,7 +357,6 @@ def test_closing_class_from_direction_matches_reference():
         items = list(iter_simple(n, k, ctx))
         for base, succ in zip(items, items[1:] + items[:1]):
             want = closing_class_index(base, succ)
-            nonpiv = _nonpivot_columns(base)
             # the rule itself: the closing representative less its final 1
             # is a vector of succ + base whose leading entry is 1
             x = representatives(base)[want][:-1]
@@ -268,11 +367,11 @@ def test_closing_class_from_direction_matches_reference():
             for u in outside:
                 for alpha in range(1, q):
                     x = [ctx.mul(alpha, t) for t in u]
-                    assert _closing_class(base, x, nonpiv) == want
+                    assert _closing_class(base, x) == want
                 x = [ctx.add(s, t) for s, t in zip(u, base.rows[0])]
-                assert _closing_class(base, x, nonpiv) == want
+                assert _closing_class(base, x) == want
             # a direction inside the base picks no class
-            assert _closing_class(base, base.rows[-1], nonpiv) is None
+            assert _closing_class(base, base.rows[-1]) is None
 
 
 def span_vectors(a):
@@ -342,7 +441,8 @@ def oracle_block(base, classes):
     then extend_subspace."""
     ext = L._append_zero_col(base)
     nonpiv = _nonpivot_columns(base)
-    return [L.extend_subspace(ext, _rep_vector(base.ctx.q, ext.n, nonpiv, c))
+    return [L.extend_subspace(ext, oracle_rep_vector(base.ctx.q, ext.n, nonpiv,
+                                                     c))
             for c in classes]
 
 
