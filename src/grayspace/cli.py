@@ -3,6 +3,11 @@
 Subcommands: gen, encode, decode, count, proj, nonexist, verify.
 Exit codes: 0 success, 1 verification or I/O failure, 2 invalid
 parameters, 3 dimension mismatch, 4 file parse failure.
+
+Indices and counts can have more decimal digits than the interpreter's cap
+on int <-> str conversion (4300 by default); main lifts the cap while a
+command runs, where the interpreter has one, and an --index too long for
+any index of the code is out of range before it is converted.
 """
 
 from __future__ import annotations
@@ -81,10 +86,20 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _index_digits_ok(text, size):
+    """False when text has more significant digits than any index below
+    size: bit_length * 0.30103 + 1 bounds the digit count from above."""
+    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
+    return len(digits) <= (size - 1).bit_length() * 30103 // 100000 + 1
+
+
 def cmd_encode(args) -> int:
     ctx = _field(args.q)
     _check_nk(args.n, args.k)
     params = codec.CodecParams(args.n, args.k, ctx)
+    if not _index_digits_ok(args.index, params.size):
+        raise CliError("index out of range [0, %d)" % params.size,
+                       EXIT_PARAMS)
     try:
         m = int(args.index)
         fn = codec.encode_via_dual if args.via_dual else codec.encode
@@ -262,6 +277,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CliError as exc:
@@ -269,6 +287,9 @@ def main(argv=None) -> int:
         return exc.code
     except BrokenPipeError:
         return EXIT_FAIL
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

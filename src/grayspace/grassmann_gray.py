@@ -22,8 +22,8 @@ from itertools import accumulate, chain, repeat
 from operator import mul
 
 from .field import FieldContext, field_from_order
-from .linalg import (CanonicalSubspace, _append_zero_col, contains, dual,
-                     extension_block, grassmann_adjacent, intersect,
+from .linalg import (CanonicalSubspace, contains, dual, extension_block,
+                     grassmann_adjacent, intersect,
                      is_simple, pack_subspace, projective_adjacent,
                      reduce_vector, scale_vector, simple_subspace,
                      format_subspace, parse_subspace)
@@ -55,12 +55,6 @@ class GraySequence:
 
     def __len__(self):
         return len(self.items)
-
-
-def _block(base: CanonicalSubspace, classes):
-    """The extensions of base by the classes, in order, in W^(base.n+1)."""
-    nonpiv = sorted(set(range(base.n)).difference(base.pivots))
-    return extension_block(_append_zero_col(base), nonpiv, base.n, classes)
 
 
 # Class j of a base of W^(top-1) is represented in W^top by j's base-q
@@ -123,12 +117,17 @@ def _row_class(v, pivots, stop, q):
 # ---------------------------------------------------------------------------
 # The specialized simple construction, streamed in codec order.
 #
+# Unrolled, the (n,k) code is the simple subspace and then, for top =
+# k+1..n, the blocks over the (top-1,k-1) code's bases, each level's first
+# item held to its end.  Items are kept n wide, zero from their top on, as
+# in the codec: no level pads, and only the bases recurse (k deep).
+#
 # Within a block the classes cannot simply be visited as j = 0, 1, ...: the
 # last class of each block and the first class of the next must share a
 # vector, or the two extended subspaces meet only in dim k-2.  The
-# deterministic rule used here opens every block with class 0 (the vector
-# e_{n-1} alone) and closes it with the class of e_{n-1} + x, where x is
-# the next base's extra direction reduced against the current base.  That
+# deterministic rule used here opens every block with class 0 (e_{top-1}
+# alone) and closes it with the class of e_{top-1} + x, where x is the
+# next base's extra direction reduced against the current base.  That
 # shared direction makes consecutive blocks adjacent, and the rule is local
 # so the codec can recompute it from indices alone.  linalg.extension_block
 # steps a block's new row from class to class like an odometer; the items
@@ -200,22 +199,27 @@ def iter_simple(n: int, k: int, ctx: FieldContext):
     """Stream the simple cyclic optimal (n,k;q)-code in index order."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if k == 0 or k == n:
-        yield simple_subspace(n, k, ctx)
+    yield from _iter_levels(n, k, n, ctx)
+
+
+def _iter_levels(top, k, n, ctx):
+    """The simple (top,k) code, every item n wide and zero from top on."""
+    yield simple_subspace(n, k, ctx)
+    if k == 0:
         return
-    for sub in iter_simple(n - 1, k, ctx):
-        yield _append_zero_col(sub)
-    width = ctx.q ** (n - k)
-    held = None
-    bases = iter_simple(n - 1, k - 1, ctx)
-    first_base = prev = next(bases)
-    for base in chain(bases, (first_base,)):
-        items = _block(prev, block_class_order(prev, base, width))
-        if held is None:
-            held = next(items)      # C*_0 closes the cycle
-        yield from items
-        prev = base
-    yield held
+    for t in range(k + 1, top + 1):
+        width = ctx.q ** (t - k)
+        held = None
+        bases = _iter_levels(t - 1, k - 1, n, ctx)
+        first_base = prev = next(bases)
+        for base in chain(bases, (first_base,)):
+            items = extension_block(prev, t - 1,
+                                    block_class_order(prev, base, width))
+            if held is None:
+                held = next(items)      # C*_0 closes the level
+            yield from items
+            prev = base
+        yield held
 
 
 def build_simple(n: int, k: int, ctx: FieldContext) -> GraySequence:
@@ -297,21 +301,20 @@ class ScriptedChoiceSource(ChoiceSource):
         return self.script.get((n, k), {}).get("ell", 0)
 
 
-def _allowed_class_indices(prev_base, prev_rep, cur_base):
+def _allowed_class_indices(prev_base, prev_rep, cur_base, top):
     """Class indices of cur_base whose class meets [prev_rep]_prev_base.
 
-    The bases are consecutive in a Gray code, so prev_base is their
-    intersection plus one row u outside cur_base, and modulo cur_base the
-    class [prev_rep]_prev_base falls into the q classes of prev_rep + eps*u.
+    The bases are consecutive in a Gray code of W^(top-1), so prev_base is
+    their intersection plus one row u outside cur_base, and modulo
+    cur_base the class [prev_rep]_prev_base falls into the q classes of
+    prev_rep + eps*u, each read off the digits below column top-1.
     """
     ctx = cur_base.ctx
     add, mul = ctx.add, ctx.mul
     u = next(r for r in prev_base.rows if not contains(cur_base, r))
-    # prev_rep + eps*u ends in 1 (u lies in the hyperplane), so its class
-    # is read off the reduction of the rest: zip drops that last entry
     return {_row_class(reduce_vector(
                 cur_base, [add(x, mul(eps, y)) for x, y in zip(prev_rep, u)]),
-                cur_base.pivots, cur_base.n, ctx.q)
+                cur_base.pivots, top - 1, ctx.q)
             for eps in range(ctx.q)}
 
 
@@ -322,26 +325,26 @@ def build_general(n: int, k: int, ctx: FieldContext,
     Invalid proposals (a first/last class breaking the class-intersection
     chain, an out-of-range insertion) raise ConstraintViolation.
     """
-    if choice_source is None:
-        choice_source = ChoiceSource()
-    cache: dict = {}
-    return _build_general(n, k, ctx, choice_source, cache)
-
-
-def _build_general(n, k, ctx, source, cache):
-    key = (n, k)
-    if key in cache:
-        return cache[key]
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if k == 0 or k == n:
-        seq = GraySequence(n, k, ctx, (simple_subspace(n, k, ctx),), True)
-        cache[key] = seq
-        return seq
-    code_k = _build_general(n - 1, k, ctx, source, cache)        # C'
-    code_km1 = _build_general(n - 1, k - 1, ctx, source, cache)  # C''
-    width = ctx.q ** (n - k)
-    bases = code_km1.items
+    if choice_source is None:
+        choice_source = ChoiceSource()
+    items = _build_general(n, k, n, ctx, choice_source, {})
+    return GraySequence(n, k, ctx, items, True)
+
+
+def _build_general(top, k, n, ctx, source, cache):
+    """The (top,k) code as a tuple of items n wide and zero from top on;
+    the choice source sees the level as (top, k)."""
+    key = (top, k)
+    if key in cache:
+        return cache[key]
+    if k == 0 or k == top:
+        items = cache[key] = (simple_subspace(n, k, ctx),)
+        return items
+    code_k = _build_general(top - 1, k, n, ctx, source, cache)        # C'
+    bases = _build_general(top - 1, k - 1, n, ctx, source, cache)     # C''
+    width = ctx.q ** (top - k)
     nb = len(bases)
     cstar = []
     prev_last_rep = first_rep = None
@@ -350,12 +353,12 @@ def _build_general(n, k, ctx, source, cache):
         if nb > 1:
             if i > 0:
                 allowed_first = _allowed_class_indices(
-                    bases[i - 1], prev_last_rep, base)
+                    bases[i - 1], prev_last_rep, base, top)
             if i == nb - 1:
                 allowed_last = _allowed_class_indices(
-                    bases[0], first_rep, base)
+                    bases[0], first_rep, base, top)
         succ = bases[(i + 1) % nb] if nb > 1 else None
-        order = source.extension_order(n, k, i, width, base, succ,
+        order = source.extension_order(top, k, i, width, base, succ,
                                        allowed_first, allowed_last)
         if (not all(isinstance(c, int) for c in order)
                 or sorted(order) != list(range(width))):
@@ -370,37 +373,33 @@ def _build_general(n, k, ctx, source, cache):
             raise ConstraintViolation(
                 "final block last class %d breaks the wraparound chain"
                 % (order[-1],))
-        block = list(_block(base, order))
-        # an item differs from its base in the one row that ends in 1:
-        # the representative of its class
-        prev_last_rep = next(r for r in block[-1].rows if r[-1])
+        block = list(extension_block(base, top - 1, order))
+        # an item differs from its base in the one row that is nonzero at
+        # column top-1: the representative of its class
+        prev_last_rep = next(r for r in block[-1].rows if r[top - 1])
         if i == 0:
-            first_rep = next(r for r in block[0].rows if r[-1])
+            first_rep = next(r for r in block[0].rows if r[top - 1])
         cstar.extend(block)
 
-    period = len(code_k.items)
-    j_ins = source.insertion_index(n, k, period)
+    period = len(code_k)
+    j_ins = source.insertion_index(top, k, period)
     if not isinstance(j_ins, int) or not 0 <= j_ins < period:
         raise ConstraintViolation("insertion index %r out of range" % (j_ins,))
-    ell = source.insertion_offset(n, k, width)
+    ell = source.insertion_offset(top, k, width)
     if not isinstance(ell, int) or not 0 <= ell <= width - 2:
         raise ConstraintViolation("insertion offset %r out of range" % (ell,))
     if period >= 2:
-        u = intersect(code_k.items[j_ins],
-                      code_k.items[(j_ins + 1) % period])
+        u = intersect(code_k[j_ins], code_k[(j_ins + 1) % period])
         i_ins = bases.index(u)
     else:
         i_ins = 0
     pos = i_ins * width + ell
-    shifted = [_append_zero_col(code_k.items[(j_ins + 1 + t) % period])
-               for t in range(period)]
-    items = cstar[:pos + 1] + shifted + cstar[pos + 1:]
-    # hand the successor level the shifted version, so the deterministic
+    # C', rotated to start after item j_ins, goes in after cstar[pos]; the
+    # successor level gets the result shifted by one, so the deterministic
     # choices reproduce the simple code exactly
-    items = items[1:] + items[:1]
-    seq = GraySequence(n, k, ctx, tuple(items), True)
-    cache[key] = seq
-    return seq
+    items = cache[key] = (*cstar[1:pos + 1], *code_k[j_ins + 1:],
+                          *code_k[:j_ins + 1], *cstar[pos + 1:], cstar[0])
+    return items
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,11 @@ A CanonicalSubspace keeps its packed rows in the `packed` slot: filled by
 canonicalize, dual and enumerate_subspaces, else built on first use; tuples
 stay the form of every result and of the file format.  pack_subspace keys
 a subspace by its packed rows.
-Zero columns added on the right leave every packed int as it is, at
-either lane width, so _append_zero_col, extend_subspace and
-extension_block, which derive a subspace by padding or by adding one row,
-pass the ints it shares with its source on unchanged.  No other module
-reads or builds packed ints.
+The codes are built n wide: a subspace of W^top is kept in all n columns,
+zero from column top on, so no level pads its items.  extend_subspace and
+extension_block, which derive a subspace by adding one row, pass the ints
+it shares with its source on unchanged.  No other module reads or builds
+packed ints.
 """
 
 from __future__ import annotations
@@ -495,13 +495,6 @@ def scale_vector(ctx: FieldContext, v, f: int):
     return tuple([mul(f, x) for x in v])
 
 
-def _append_zero_col(sub: CanonicalSubspace) -> CanonicalSubspace:
-    """sub padded with a zero column; packed rows carry over as is."""
-    return CanonicalSubspace(sub.ctx, sub.n + 1,
-                             tuple(r + (0,) for r in sub.rows), sub.pivots,
-                             sub.packed)
-
-
 def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     """Canonical form of base + span(v) for v already reduced against base.
 
@@ -530,20 +523,21 @@ def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     return CanonicalSubspace(ctx, base.n, rows, pivots, packed)
 
 
-def extension_block(base: CanonicalSubspace, digits, top: int, classes):
+def extension_block(base: CanonicalSubspace, top: int, classes):
     """Yield base + span(v_c) for each class c of classes, in order.
 
     v_c is 1 in column top and has the base-q digits of c, lowest first, on
-    the ascending columns digits; base must have no pivot there and be zero
-    from top on (ValueError).  v_c ends in 1, so it is the new canonical
-    row, slotted by its lead.  v and its int are stepped from class to
-    class on the digits that differ, like an odometer.
+    base's nonpivot columns below top; base must be zero from top on
+    (ValueError).  v_c ends in 1, so it is the new canonical row, slotted
+    by its lead.  v and its int are stepped from class to class on the
+    digits that differ, like an odometer.
     """
     ctx, n, rows, pivots = base.ctx, base.n, base.rows, base.pivots
     q, sh = ctx.q, _lanes(ctx).sh
     packed = _packed_rows(base)
-    if not set(pivots).isdisjoint(digits) or any(any(r[top:]) for r in rows):
-        raise ValueError("vector must be reduced against the base and nonzero")
+    if any(any(r[top:]) for r in rows):
+        raise ValueError("base must be zero from column %d on" % top)
+    digits = sorted(set(range(top)).difference(pivots))
     v = [0] * n
     v[top] = 1
     x, a, splits = 1 << (top << sh), 0, {}

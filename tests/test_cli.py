@@ -1,10 +1,13 @@
 import json
+import sys
+import time
 
 import pytest
 
 from grayspace import cli
 from grayspace.grassmann_gray import read_gray_file, verify_gray
 from grayspace.linalg import intersect
+from grayspace.projective_gray import nonexistence_certificate
 from grayspace.qcombin import gaussian
 
 
@@ -262,3 +265,70 @@ def test_matrices_wider_than_the_stack_limit(capsys, tmp_path):
     code, out, _ = run(capsys, "encode", "--n", "1100", "--k", "1099",
                        "--q", "2", "--index", "0", "--via-dual")
     assert code == 0 and out.split()[:3] == ["1099", "1100", "2"]
+
+
+def digit_cap():
+    """The interpreter's int <-> str digit cap; None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def big_int(text):
+    """int(text) past the digit cap, which is put back afterwards."""
+    cap = digit_cap()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def test_indices_above_the_digit_cap_round_trip(capsys, tmp_path):
+    # a 4933-digit index, 10^4932 + 12345, written out without converting
+    index = "1" + "0" * 4927 + "12345"
+    size = gaussian(256, 128, 2)
+    assert 10 ** 4932 <= 10 ** 4932 + 12345 < size
+    cap = digit_cap()
+    code, out, err = run(capsys, "encode", "--n", "256", "--k", "128",
+                         "--q", "2", "--via-dual", "--index", index)
+    assert code == 0, err
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(out)
+    code, out, err = run(capsys, "decode", "--n", "256", "--k", "128",
+                         "--q", "2", "--via-dual", "--input", str(matrix))
+    assert code == 0 and out.strip() == index, err
+    # in-process callers keep their cap
+    assert digit_cap() == cap
+    # past the last index, with as many digits as it: converted, then
+    # rejected
+    code, out, err = run(capsys, "encode", "--n", "256", "--k", "128",
+                         "--q", "2", "--via-dual", "--index", "9" * 4933)
+    assert code == 2 and out == "" and "out of range" in err
+
+
+def test_counts_above_the_digit_cap(capsys):
+    code, out, err = run(capsys, "count", "--n", "300", "--k", "150",
+                         "--q", "2")
+    assert code == 0 and big_int(out) == gaussian(300, 150, 2), err
+    code, out, err = run(capsys, "nonexist", "--n", "300", "--q", "2")
+    report = nonexistence_certificate(300, 2)
+    neighbors, middle, deficit = out.replace("<", " ").split()
+    assert code == 0, err
+    assert big_int(neighbors) == report.neighbor_count
+    assert big_int(middle) == report.middle_count
+    assert big_int(deficit.split("=")[1]) == report.deficit
+
+
+def test_overlong_index_is_out_of_range_at_once(capsys):
+    # converting a million digits would take seconds; the digit count
+    # alone rules it out
+    start = time.perf_counter()
+    code, out, err = run(capsys, "encode", "--n", "8", "--k", "4", "--q", "2",
+                         "--index", "1" * 10 ** 6)
+    assert code == 2 and out == "" and "out of range" in err
+    assert time.perf_counter() - start < 1.0
+    # leading zeros are not significant digits
+    code, out, _ = run(capsys, "encode", "--n", "8", "--k", "4", "--q", "2",
+                       "--index", "0" * 5000 + "7")
+    assert code == 0 and out.split()[:3] == ["4", "8", "2"]

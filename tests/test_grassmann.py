@@ -1,3 +1,4 @@
+import inspect
 import io
 import itertools
 import random
@@ -10,13 +11,14 @@ from grayspace import linalg as L
 from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
                                       GraySequence, RandomChoiceSource,
                                       ScriptedChoiceSource,
-                                      _allowed_class_indices, _block,
+                                      _allowed_class_indices,
                                       _class_row, _closing_class, _row_class,
                                       block_class_order,
                                       build_general, build_simple,
                                       closing_class_index, dual_code,
                                       iter_simple, read_gray_file,
                                       verify_gray, write_gray_file)
+from grayspace.codec import CodecParams, encode
 from grayspace.qcombin import count_lower_bound, gaussian
 
 F2 = make_field(2, 1)
@@ -26,6 +28,13 @@ F3 = make_field(3, 1)
 def _nonpivot_columns(base):
     """base's nonpivot columns, ascending."""
     return [c for c in range(base.n) if c not in base.pivots]
+
+
+def pad(sub):
+    """sub in W^(sub.n+1), with a zero last column: the embedding the
+    oracles use, independent of the n-wide stream."""
+    return L.CanonicalSubspace(sub.ctx, sub.n + 1,
+                               tuple(r + (0,) for r in sub.rows), sub.pivots)
 
 
 def oracle_rep_vector(q, n, nonpiv, j):
@@ -152,7 +161,8 @@ def test_extension_family_invariants():
             for base in itertools.islice(
                     L.enumerate_subspaces(n - 1, k - 1, ctx), 5):
                 width = ctx.q ** (n - k)
-                exts = list(_block(base, range(width)))
+                exts = list(L.extension_block(pad(base), n - 1,
+                                              range(width)))
                 assert len(set(exts)) == width
                 for rep, ext in zip(representatives(base), exts):
                     assert ext.k == k
@@ -429,7 +439,8 @@ def test_allowed_class_indices_match_brute_force():
                     brute = {class_of(cur, vec)
                              for vec in class_vectors(prev, rep)}
                     assert len(brute) == q
-                    assert _allowed_class_indices(prev, rep, cur) == brute
+                    assert _allowed_class_indices(
+                        pad(prev), rep, pad(cur), n) == brute
                     cases += 1
     assert cases > 1000
 
@@ -439,7 +450,7 @@ def test_allowed_class_indices_match_brute_force():
 def oracle_block(base, classes):
     """Each class's extension built on its own: the representative vector,
     then extend_subspace."""
-    ext = L._append_zero_col(base)
+    ext = pad(base)
     nonpiv = _nonpivot_columns(base)
     return [L.extend_subspace(ext, oracle_rep_vector(base.ctx.q, ext.n, nonpiv,
                                                      c))
@@ -452,7 +463,7 @@ def oracle_iter_simple(n, k, ctx):
         yield L.simple_subspace(n, k, ctx)
         return
     for sub in oracle_iter_simple(n - 1, k, ctx):
-        yield L._append_zero_col(sub)
+        yield pad(sub)
     width = ctx.q ** (n - k)
     bases = oracle_iter_simple(n - 1, k - 1, ctx)
     first = prev = next(bases)
@@ -481,9 +492,7 @@ def test_extension_block_matches_the_per_item_oracle():
             width = q ** (n - 1 - base.k)
             order = RandomChoiceSource(rng.random()).extension_order(
                 n, k, 0, width, base, None, None, None)
-            got = list(L.extension_block(
-                L._append_zero_col(base), _nonpivot_columns(base),
-                n - 1, order))
+            got = list(L.extension_block(pad(base), n - 1, order))
             want = oracle_block(base, order)
             assert [(s.rows, s.pivots) for s in got] == [
                 (s.rows, s.pivots) for s in want]
@@ -495,11 +504,26 @@ def test_extension_block_matches_the_per_item_oracle():
 def test_extension_block_rejects_a_base_in_its_columns():
     F4 = field_from_order(4)
     for ctx in (F2, F4, field_from_order(9)):
-        base = L._append_zero_col(L.canonicalize([(0, 1, 1, 0)], 4, ctx))
-        for digits, top in (([0, 1, 3], 4), ([0, 3], 2), ([0, 3], 1)):
-            with pytest.raises(ValueError, match="reduced against the base"):
-                list(L.extension_block(base, digits, top, range(2)))
-        assert len(list(L.extension_block(base, [0, 3], 4, range(2)))) == 2
+        base = pad(L.canonicalize([(0, 1, 1, 0)], 4, ctx))
+        for top in (2, 1):
+            with pytest.raises(ValueError, match="zero from column"):
+                list(L.extension_block(base, top, range(2)))
+        # the digits go on the nonpivots below top, 0, 2 and 3, lowest
+        # first
+        q = ctx.q
+        new = [[r for r in s.rows if r[4]] for s in
+               L.extension_block(base, 4, (1, q, q * q))]
+        assert new == [[(1, 0, 0, 0, 1)], [(0, 0, 1, 0, 1)],
+                       [(0, 0, 0, 1, 1)]]
+
+
+def test_iter_simple_streams_deep_n():
+    # generators nest k deep, not n deep: at n = 1500 a stream nested once
+    # per n would exceed the recursion limit
+    assert inspect.isgeneratorfunction(iter_simple)
+    params = CodecParams(1500, 1, F2)
+    got = list(itertools.islice(iter_simple(1500, 1, F2), 5))
+    assert got == [encode(params, m) for m in range(5)]
 
 
 def test_iter_simple_matches_the_per_item_oracle():
