@@ -27,20 +27,22 @@ class off it in one vector reduction, and no successor is ever encoded.
 decode is the plain reference decode_fast is tested against: it strips
 one zero column at a time, recurses once per extension level and takes
 each closing class from closing_class_index on an explicitly encoded
-successor.  decode_via_dual and the command line use decode_fast.
+successor.  The successor encodes of one decode share the levels they
+build, so each builds about two and the decode costs O(k) levels too.
+decode_via_dual and the command line use decode_fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from operator import ge, itemgetter
 
 from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
                              closing_class_index, _class_row,
                              _closing_class, _row_class)
-from .linalg import (CanonicalSubspace, _check_entries, dual,
+from .linalg import (CanonicalSubspace, _check_entries, _packed_rows, dual,
                      extend_subspace, last_nonzero, leading_column,
                      simple_subspace)
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
@@ -65,16 +67,18 @@ class CodecParams:
         return gaussian(self.n, self.k, self.q)
 
 
-def _encode(n, k, q, ctx, m):
-    """(item, x): the m-th item of the (n,k) code and a function x() that
-    gives a vector of length n spanning the successor (item m+1,
-    cyclically) modulo the item; x is None for k = 0 or k = n.
+def _encode(n, k, q, ctx, m, width_n=None, built=None):
+    """(item, x): the m-th item of the (n,k) code, width_n (default n)
+    wide, and a function x() giving a vector of length n that spans the
+    successor (item m+1, cyclically) modulo the item, None for k = 0 or
+    k = n.  built maps (n, k, m) to the (item, x) of each level built so
+    far at this width; the top-down pass stops at the first one there.
     """
-    width_n = n
+    width_n, built = width_n or n, {} if built is None else built
     x = None
     # top-down: each level's base is item i of the (top-1, k-1) code
     levels = []
-    while 0 < k < n:
+    while 0 < k < n and (n, k, m) not in built:
         # items below g1 = [top-1 k]_q lie inside W^(top-1), and none does
         # once top == k, so all trailing zero columns go in one jump
         top, g1 = n, gaussian_product_tree(n - 1, k, q)
@@ -89,11 +93,12 @@ def _encode(n, k, q, ctx, m):
         t = m - g1 + 1
         i = (t // width) % g2
         jpos = t % width
-        levels.append((n, k, top, i, jpos, width, g2))
+        levels.append((n, k, m, top, i, jpos, width, g2))
         n, k, m = top - 1, k - 1, i
-    # bottom-up: every base has rows of width width_n, zero from its top on
-    base = simple_subspace(width_n, k, ctx)
-    for n, k, top, i, jpos, width, g2 in reversed(levels):
+    # bottom-up from the level found in built or the simple subspace;
+    # every base has rows of width width_n, zero from its top on
+    base, x = built.get((n, k, m)) or (simple_subspace(width_n, k, ctx), x)
+    for n, k, m, top, i, jpos, width, g2 in reversed(levels):
         # a lone block (g2 = 1) runs in plain order and closes on width-1
         last = _closing_class(base, x()) if g2 > 1 else width - 1
         c = class_at_position(last, width, jpos)
@@ -101,6 +106,7 @@ def _encode(n, k, q, ctx, m):
         x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
                     pivots)
         base = extend_subspace(base, _class_row(c, pivots, top, width_n, q))
+        built[n, k, m] = base, x
     return base, x
 
 
@@ -114,38 +120,30 @@ def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     return _encode(params.n, params.k, params.q, params.ctx, m)[0]
 
 
-def _extension_parts(ctx, n, rows):
-    """The extending row and the base left when it is removed.
-
-    The extending row is the one row nonzero in column n-1.  It must end
-    in 1 there and vanish on the base's pivot columns, as the canonical
-    matrix does; otherwise ValueError.
-    """
-    v, *more = [r for r in rows if r[n - 1]]
-    inner_rows = tuple([r[:n - 1] for r in rows if not r[n - 1]])
-    pivots = tuple(map(leading_column, inner_rows))
-    if more or v[n - 1] != 1 or any(map(v.__getitem__, pivots)):
-        raise ValueError("not a canonical extension matrix")
-    return v, CanonicalSubspace(ctx, n - 1, inner_rows, pivots)
-
-
-def _decode(n, k, q, ctx, rows, g):
+def _decode(n, k, q, ctx, W, g, built):
+    """The index of W, zero from column n on, in the (n,k) code of size g;
+    built is shared by the successor encodes of one decode (see _encode)."""
     while 0 < k < n:
         g2, g1 = gaussian_step_down(g, n, k, q)
-        if any(map(itemgetter(n - 1), rows)):
+        if any(map(itemgetter(n - 1), W.rows)):
             break
-        rows = [r[:n - 1] for r in rows]    # strip a zero column
-        n, g = n - 1, g1
+        n, g = n - 1, g1                    # strip a zero column
     else:
         return 0
-    v, base = _extension_parts(ctx, n, rows)
-    i = _decode(n - 1, k - 1, q, ctx, base.rows, g2)
+    # the extending row is the one nonzero in column n-1; the base is W
+    # without it, its rows, pivots and packed ints taken as they are
+    (j, v), *more = [(j, r) for j, r in enumerate(W.rows) if r[n - 1]]
+    base = CanonicalSubspace(ctx, W.n, *[t[:j] + t[j + 1:] for t in (
+        W.rows, W.pivots, W.packed)])
+    if more or v[n - 1] != 1 or any(map(v.__getitem__, base.pivots)):
+        raise ValueError("not a canonical extension matrix")
+    i = _decode(n - 1, k - 1, q, ctx, base, g2, built)
     width = q ** (n - k)
     c = _row_class(v, base.pivots, n - 1, q)
     if g2 == 1:
         last = width - 1
     else:
-        succ, _ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2)
+        succ, _ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2, W.n, built)
         last = closing_class_index(base, succ)
     jpos = class_position(last, width, c)
     return g1 + ((width * i + jpos - 1) % (width * g2))
@@ -235,7 +233,7 @@ def _decode_fast(n, k, q, ctx, rows):
 
 def _check_input(params, W):
     """Reject a subspace of the wrong shape or field, entries outside the
-    field, or rank below k.
+    field, or rank below k; return its rows' leading columns.
 
     Nonzero rows with strictly increasing leading columns certify rank k.
     """
@@ -245,13 +243,10 @@ def _check_input(params, W):
     if W.ctx is not params.ctx:
         raise ValueError("field mismatch")
     _check_entries(W.rows, params.q, W.n)
-    last = -1
-    for r in W.rows:
-        lead = leading_column(r)
-        if not last < lead < len(r):
-            raise ValueError("rows are not a row echelon basis of rank %d"
-                             % W.k)
-        last = lead
+    leads = tuple(map(leading_column, W.rows))
+    if any(map(ge, (-1,) + leads, leads + (W.n,))):
+        raise ValueError("rows are not a row echelon basis of rank %d" % W.k)
+    return leads
 
 
 def decode(params: CodecParams, W: CanonicalSubspace) -> int:
@@ -266,13 +261,14 @@ def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     subspace it spans.  Subspaces from encode, canonicalize or
     parse_subspace are canonical.
 
-    This is the reference: it recurses once per extension level, so near
-    990 levels, e.g. at (1100,1050,2), it raises RecursionError; use
-    decode_fast there.
+    This is the reference: it encodes each block's successor base, those
+    encodes sharing their levels, and recurses once per extension level,
+    so near 990 levels, e.g. at (1100,1050,2), it raises RecursionError;
+    use decode_fast there.
     """
-    _check_input(params, W)
-    return _decode(params.n, params.k, params.q, params.ctx, W.rows,
-                   params.size)
+    W = CanonicalSubspace(W.ctx, W.n, tuple(W.rows), _check_input(params, W))
+    _packed_rows(W)     # packed from the rows: W.packed is not trusted
+    return _decode(W.n, W.k, params.q, W.ctx, W, params.size, {})
 
 
 def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:

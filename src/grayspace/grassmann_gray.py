@@ -60,8 +60,8 @@ class GraySequence:
 # Class j of a base of W^(top-1) is represented in W^top by j's base-q
 # digits, lowest first, on the base's nonpivot columns and 1 in column
 # top-1.  j is converted to or from its whole digit string at once (a
-# bytearray, or a list for q > 256), which goes into a row with a 0
-# inserted at each of the base's pivots and comes out with them deleted.
+# bytearray, its bytes for q = 256, a list for q > 256), which goes into
+# a row with a 0 at each of the base's pivots and comes out without them.
 
 _TO_ALNUM = bytes.maketrans(bytes(range(36)),
                             b"0123456789abcdefghijklmnopqrstuvwxyz")
@@ -80,13 +80,15 @@ def _digit_table(q):
 
 def _class_row(c, pivots, top, n, q):
     """The representative of class c of a base with these sorted pivots,
-    in n columns: c's digits (by format for q = 2, 8, 16, else q^t at a
-    time) on the nonpivots below top-1, 1 at top-1 and 0 from top on."""
+    in n columns: c's digits (by format for q = 2, 8, 16, bytes for 256,
+    else q^t at a time) on the nonpivots below top-1, 1 at top-1, 0 after."""
     w = top - 1 - len(pivots)
     fmt = _FORMATS.get(q)
     if fmt:
         row = bytearray((format(c, fmt) if c else "").zfill(w).encode()
                         [::-1].translate(_FROM_ALNUM))
+    elif q == 256:
+        row = bytearray(c.to_bytes(w, "little"))
     else:
         chunk, table = _digit_table(q)
         row = table[0][:0]
@@ -110,6 +112,8 @@ def _row_class(v, pivots, stop, q):
         del d[p]
     if q <= 36:
         return int(d[::-1].translate(_TO_ALNUM) or b"0", q)
+    if q == 256:
+        return int.from_bytes(d, "little")
     return sum(map(mul, d, accumulate(repeat(q, len(d) - 1), mul,
                                       initial=1)))
 

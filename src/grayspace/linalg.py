@@ -48,9 +48,9 @@ stay the form of every result and of the file format.  pack_subspace keys
 a subspace by its packed rows.
 The codes are built n wide: a subspace of W^top is kept in all n columns,
 zero from column top on, so no level pads its items.  extend_subspace and
-extension_block, which derive a subspace by adding one row, pass the ints
-it shares with its source on unchanged.  No other module reads or builds
-packed ints.
+extension_block, which add one row to a subspace, and the reference decode,
+which removes one, pass the ints the two share on unchanged.  No other code
+reads or builds packed ints.
 """
 
 from __future__ import annotations

@@ -213,9 +213,11 @@ def test_large_parameter_round_trip():
 
 
 def test_decode_fast_matches_decode_at_large_parameters():
-    # sizes the criterion-3 grid never reaches, code boundaries included
+    # sizes the criterion-3 grid never reaches, code boundaries included;
+    # at deep k the reference decode's successor encodes share their levels
     rng = random.Random(11)
-    for (n, k, q) in [(256, 4, 2), (64, 16, 2), (256, 4, 3), (128, 4, 8)]:
+    for (n, k, q) in [(256, 4, 2), (64, 16, 2), (256, 4, 3), (128, 4, 8),
+                      (256, 64, 2), (512, 128, 2), (96, 24, 3)]:
         params = CodecParams(n, k, field_from_order(q))
         total = params.size
         for m in [0, 1, total - 2, total - 1] + [rng.randrange(total)
@@ -232,6 +234,53 @@ def test_round_trip_deeper_than_the_stack_limit():
     total = params.size
     for m in (0, 1, total - 1, random.Random(12).randrange(total)):
         assert decode_fast(params, encode(params, m)) == m
+
+
+def test_reference_decode_keeps_no_state_between_calls():
+    # codecs of different n and k over one field, and one of the same n and
+    # k over another field, decoded alternately at the same indices, so
+    # their levels have equal (n, k, m) keys; and consecutive indices,
+    # whose successor encodes walk the same levels: each decode starts
+    # afresh
+    f3 = field_from_order(3)
+    codecs = [CodecParams(40, 10, f3), CodecParams(33, 7, f3),
+              CodecParams(40, 10, F2)]
+    rng = random.Random(23)
+    cases = []
+    for m in [0, 1] + [rng.randrange(gaussian(33, 7, 2) - 1)
+                       for _ in range(4)]:
+        for params in codecs:
+            cases += [(params, m, encode(params, m)),
+                      (params, m + 1, encode(params, m + 1))]
+    for params, m, sub in cases + cases[::-1]:
+        assert decode(params, sub) == m
+
+
+def _extension_levels(sub, k):
+    """The levels of sub's canonical matrix above its simple subspace: a
+    level's row, in descending order of top, has top > the level's k."""
+    tops = sorted((L.last_nonzero(r) + 1 for r in sub.rows), reverse=True)
+    return next((d for d, top in enumerate(tops) if top == k - d), k)
+
+
+def test_reference_decode_builds_o_k_levels(monkeypatch):
+    # each successor encode builds about two levels and takes the rest
+    # from the levels built before it in the same decode; re-encoding every
+    # successor in full makes about 16 extend_subspace calls per level
+    import grayspace.codec as codec_module
+    calls = []
+    real = codec_module.extend_subspace
+    monkeypatch.setattr(codec_module, "extend_subspace",
+                        lambda base, v: calls.append(1) or real(base, v))
+    params = CodecParams(128, 32, F2)
+    rng = random.Random(24)
+    for m in [rng.randrange(params.size) for _ in range(3)]:
+        sub = encode(params, m)
+        levels = _extension_levels(sub, params.k)
+        assert levels > 16
+        calls.clear()
+        assert decode(params, sub) == m
+        assert len(calls) <= 3 * levels, (len(calls), levels)
 
 
 def test_round_trip_at_prime_field_above_256():
