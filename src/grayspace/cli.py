@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 
 from . import codec, grassmann_gray, projective_gray
@@ -86,22 +87,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _index_digits_ok(text, size):
-    """False when text has more significant digits than any index below
-    size: bit_length * 0.30103 + 1 bounds the digit count from above."""
+def _index(text, size):
+    """int(text); CliError, before converting, if text is no integer or has
+    more digits than an index below size (at most bit_length*0.30103+1)."""
+    if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+        raise CliError("index is not an integer: %.40r" % text, EXIT_PARAMS)
     digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
-    return len(digits) <= (size - 1).bit_length() * 30103 // 100000 + 1
+    if len(digits) > (size - 1).bit_length() * 30103 // 100000 + 1:
+        raise CliError("index out of range [0, %d)" % size, EXIT_PARAMS)
+    return int(text)
 
 
 def cmd_encode(args) -> int:
     ctx = _field(args.q)
     _check_nk(args.n, args.k)
     params = codec.CodecParams(args.n, args.k, ctx)
-    if not _index_digits_ok(args.index, params.size):
-        raise CliError("index out of range [0, %d)" % params.size,
-                       EXIT_PARAMS)
+    m = _index(args.index, params.size)
     try:
-        m = int(args.index)
         fn = codec.encode_via_dual if args.via_dual else codec.encode
         sub = fn(params, m)
     except ValueError as exc:

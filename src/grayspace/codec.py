@@ -27,8 +27,8 @@ class off it in one vector reduction, and no successor is ever encoded.
 decode is the plain reference decode_fast is tested against: it strips
 one zero column at a time, recurses once per extension level and takes
 each closing class from closing_class_index on an explicitly encoded
-successor.  The successor encodes of one decode share the levels they
-build, so each builds about two and the decode costs O(k) levels too.
+successor.  Those encodes start from the decode's own bases and closing
+rows and share what they build: each builds one level, O(k) in all.
 decode_via_dual and the command line use decode_fast.
 """
 
@@ -42,7 +42,7 @@ from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position,
                              closing_class_index, _class_row,
                              _closing_class, _row_class)
-from .linalg import (CanonicalSubspace, _check_entries, _packed_rows, dual,
+from .linalg import (CanonicalSubspace, _check_entries, _without_row, dual,
                      extend_subspace, last_nonzero, leading_column,
                      simple_subspace)
 from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
@@ -71,7 +71,7 @@ def _encode(n, k, q, ctx, m, width_n=None, built=None):
     """(item, x): the m-th item of the (n,k) code, width_n (default n)
     wide, and a function x() giving a vector of length n that spans the
     successor (item m+1, cyclically) modulo the item, None for k = 0 or
-    k = n.  built maps (n, k, m) to the (item, x) of each level built so
+    k = n.  built maps (n, k, m) to the (item, x) of each level known so
     far at this width; the top-down pass stops at the first one there.
     """
     width_n, built = width_n or n, {} if built is None else built
@@ -131,10 +131,9 @@ def _decode(n, k, q, ctx, W, g, built):
     else:
         return 0
     # the extending row is the one nonzero in column n-1; the base is W
-    # without it, its rows, pivots and packed ints taken as they are
+    # without it, its rows, pivots, packed ints and pivot mask cut from W's
     (j, v), *more = [(j, r) for j, r in enumerate(W.rows) if r[n - 1]]
-    base = CanonicalSubspace(ctx, W.n, *[t[:j] + t[j + 1:] for t in (
-        W.rows, W.pivots, W.packed)])
+    base = _without_row(W, j)
     if more or v[n - 1] != 1 or any(map(v.__getitem__, base.pivots)):
         raise ValueError("not a canonical extension matrix")
     i = _decode(n - 1, k - 1, q, ctx, base, g2, built)
@@ -144,7 +143,9 @@ def _decode(n, k, q, ctx, W, g, built):
         last = width - 1
     else:
         succ, _ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2, W.n, built)
-        last = closing_class_index(base, succ)
+        last, u = closing_class_index(base, succ)
+        # the successor encode one level up starts here, not below base
+        built.setdefault((n - 1, k - 1, i), (base, lambda: u))
     jpos = class_position(last, width, c)
     return g1 + ((width * i + jpos - 1) % (width * g2))
 
@@ -261,13 +262,13 @@ def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     subspace it spans.  Subspaces from encode, canonicalize or
     parse_subspace are canonical.
 
-    This is the reference: it encodes each block's successor base, those
-    encodes sharing their levels, and recurses once per extension level,
-    so near 990 levels, e.g. at (1100,1050,2), it raises RecursionError;
-    use decode_fast there.
+    This is the reference: it encodes each block's successor base,
+    starting from the bases it decoded and their closing rows, and
+    recurses once per extension level, so near 990 levels, e.g. at
+    (1100,1050,2), it raises RecursionError; use decode_fast there.
     """
+    # packed rows and pivot mask are built anew: W's are not trusted
     W = CanonicalSubspace(W.ctx, W.n, tuple(W.rows), _check_input(params, W))
-    _packed_rows(W)     # packed from the rows: W.packed is not trusted
     return _decode(W.n, W.k, params.q, W.ctx, W, params.size, {})
 
 

@@ -23,10 +23,9 @@ from operator import mul
 
 from .field import FieldContext, field_from_order
 from .linalg import (CanonicalSubspace, contains, dual, extension_block,
-                     grassmann_adjacent, intersect,
-                     is_simple, pack_subspace, projective_adjacent,
-                     reduce_vector, scale_vector, simple_subspace,
-                     format_subspace, parse_subspace)
+                     grassmann_adjacent, intersect, is_simple, pack_subspace,
+                     projective_adjacent, reduce_vector, scale_vector,
+                     simple_subspace, format_subspace, parse_subspace)
 from .qcombin import gaussian
 
 
@@ -138,9 +137,9 @@ def _row_class(v, pivots, stop, q):
 # of a block share the base's k-1 rows, so their pairs need no rank.
 
 
-def closing_class_index(base: CanonicalSubspace,
-                        succ: CanonicalSubspace) -> int:
-    """Class of the block-closing extension of base, given the next base.
+def closing_class_index(base: CanonicalSubspace, succ: CanonicalSubspace):
+    """(c, u): the class c of the block-closing extension of base, given
+    the next base, and the row u of succ that names it.
 
     Both bases live in W^(n-1) and meet in codimension 1 there.  Any row
     of succ outside base names the class, which is never 0 (the opening
@@ -149,7 +148,7 @@ def closing_class_index(base: CanonicalSubspace,
     for u in reversed(succ.rows):
         c = _closing_class(base, u)
         if c is not None:
-            return c
+            return c, u
     raise ValueError("successor base equals the current base")
 
 
@@ -175,7 +174,7 @@ def block_class_order(base: CanonicalSubspace, succ, width: int):
     """
     if succ is None or succ == base:
         return list(range(width))
-    last = closing_class_index(base, succ)
+    last, _ = closing_class_index(base, succ)
     return [0] + [c for c in range(1, width) if c != last] + [last]
 
 

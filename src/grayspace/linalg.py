@@ -33,8 +33,10 @@ several) and scaling differ from field to field:
 - Every other field adds entry by entry with field calls on the unpacked
   rows: the odd extension fields (q = 9, 25, 27, ..., 243), whose
   addition works digit by digit; the primes 131..251, whose sums
-  overflow a byte; and every q > 256.  reduce_vector hands their vectors
-  to that loop unpacked.
+  overflow a byte; and every q > 256.  Their vectors reduce unpacked.
+- Over a lanewise field a reduction (_eliminate) clears only the lanes
+  where x meets the pivot mask, lowest first, one step per hit: an
+  echelon row is zero below its pivot.
 - rref and tau go row by row, not column by column: x & -x gives a row's
   lowest nonzero lane and x.bit_length() its top one, so neither scans
   empty columns.
@@ -42,15 +44,17 @@ An entry outside range(q) would spill into the next lane, and a row
 longer than n past it, so rref, contains, canonicalize and parse_subspace
 reject both (_check_entries).
 
-A CanonicalSubspace keeps its packed rows in the `packed` slot: filled by
-canonicalize, dual and enumerate_subspaces, else built on first use; tuples
-stay the form of every result and of the file format.  pack_subspace keys
-a subspace by its packed rows.
-The codes are built n wide: a subspace of W^top is kept in all n columns,
-zero from column top on, so no level pads its items.  extend_subspace and
-extension_block, which add one row to a subspace, and the reference decode,
-which removes one, pass the ints the two share on unchanged.  No other code
-reads or builds packed ints.
+A CanonicalSubspace keeps its packed rows in the `packed` slot (filled by
+canonicalize, dual and enumerate_subspaces) and the bits of its pivot
+lanes in `pivot_mask` (filled by canonicalize and simple_subspace), each
+else built on first use; tuples stay the form of every result and of the
+file format.  pack_subspace keys a subspace by its packed rows.  The codes
+are built n wide: a subspace of W^top is kept in all n columns, zero from
+column top on, so no level pads its items.  extend_subspace and
+extension_block, which add one row, and _without_row, which removes one
+for the reference decode, pass on the ints the two subspaces share and
+set or clear the row's lane in the mask.  No other module reads or builds
+packed ints.
 """
 
 from __future__ import annotations
@@ -66,15 +70,16 @@ from .field import FieldContext, field_from_order
 class CanonicalSubspace:
     """A k-dimensional subspace of GF(q)^n in canonical (tau) form."""
 
-    __slots__ = ("ctx", "n", "k", "rows", "pivots", "packed")
+    __slots__ = ("ctx", "n", "k", "rows", "pivots", "packed", "pivot_mask")
 
-    def __init__(self, ctx: FieldContext, n: int, rows, pivots, packed=None):
+    def __init__(self, ctx, n, rows, pivots, packed=None, pivot_mask=None):
         self.ctx = ctx
         self.n = n
         self.rows = rows
         self.pivots = pivots
         self.k = len(rows)
         self.packed = packed    # rows as ints, None until built
+        self.pivot_mask = pivot_mask    # bits of the pivot lanes, likewise
 
     def __eq__(self, other):
         return (isinstance(other, CanonicalSubspace)
@@ -183,7 +188,7 @@ def rref(rows, n: int, ctx: FieldContext):
     rows = list(rows)
     _check_entries(rows, ctx.q, n)
     lanes = _lanes(ctx)
-    reduced, pivots = _rref(_pack_rows(rows, lanes), n, lanes)
+    reduced, pivots, _ = _rref(_pack_rows(rows, lanes), n, lanes)
     return [lanes.unpack(x, n) for x in reduced], pivots
 
 
@@ -200,14 +205,14 @@ def last_nonzero(row) -> int:
 
 
 def _rref(rows, n: int, lanes: _Lanes):
-    """rref of packed rows, one row at a time: (rows, pivots).
+    """rref of packed rows, one row at a time: (rows, pivots, pivot mask).
 
     A row is cleared on its lowest nonzero lane by the basis row pivoted
     there, as long as there is one, and then scaled to lead with 1 and
     kept as the basis row of that lane.  Last, every row from the
     second-to-last up is cleared on the pivots below it.
     """
-    inv, sh, mask = lanes.ctx.inv, lanes.sh, lanes.mask
+    inv, sh, lane = lanes.ctx.inv, lanes.sh, lanes.mask
     clear = _clearer(lanes.ctx, n)
     basis = {}              # pivot column -> row
     for x in rows:
@@ -215,17 +220,18 @@ def _rref(rows, n: int, lanes: _Lanes):
             c = (x & -x).bit_length() - 1 >> sh
             row = basis.get(c)
             if row is None:
-                lead = x >> (c << sh) & mask
+                lead = x >> (c << sh) & lane
                 if lead != 1:
                     x = lanes.scale(x, inv(lead), n)
                 basis[c] = x
                 break
             x = clear(x, row, c)
-    pivots = sorted(basis)
+    pivots, mask = sorted(basis), 0
     out = [basis[c] for c in pivots]
-    for i in range(len(out) - 2, -1, -1):
-        out[i] = _eliminate(out[i], out[i + 1:], pivots[i + 1:], lanes, n)
-    return out, tuple(pivots)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = _eliminate(out[i], out[i + 1:], mask, lanes, n)
+        mask |= lane << (pivots[i] << sh)
+    return out, tuple(pivots), mask
 
 
 def _tau(work: list, n: int, lanes: _Lanes):
@@ -258,16 +264,16 @@ def _tau(work: list, n: int, lanes: _Lanes):
     return tuple(work)
 
 
-def _canonical(work, pivots, n, lanes: _Lanes):
+def _canonical(work, pivots, mask, n, lanes: _Lanes):
     """The CanonicalSubspace of the full-rank rref matrix work, a list of
-    packed rows."""
+    packed rows, with the given pivots and pivot mask (tau keeps both)."""
     packed = _tau(work, n, lanes)
     if lanes.sh == 3:
         # byte lanes inlined, as in _pack_rows
         rows = tuple([tuple(x.to_bytes(n, "little")) for x in packed])
     else:
         rows = tuple([lanes.unpack(x, n) for x in packed])
-    return CanonicalSubspace(lanes.ctx, n, rows, pivots, packed)
+    return CanonicalSubspace(lanes.ctx, n, rows, pivots, packed, mask)
 
 
 def canonicalize(rows, n: int, ctx: FieldContext) -> CanonicalSubspace:
@@ -288,11 +294,12 @@ def trivial_subspace(n: int, ctx: FieldContext) -> CanonicalSubspace:
 
 
 def simple_subspace(n: int, k: int, ctx: FieldContext) -> CanonicalSubspace:
-    """The subspace with canonical matrix [I_k | 0], packed rows filled."""
+    """The subspace [I_k | 0], its packed rows and pivot mask filled."""
     rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(k))
     sh = _lanes(ctx).sh
     return CanonicalSubspace(ctx, n, rows, tuple(range(k)),
-                             tuple(1 << (i << sh) for i in range(k)))
+                             tuple(1 << (i << sh) for i in range(k)),
+                             (1 << (k << sh)) - 1)
 
 
 def full_subspace(n: int, ctx: FieldContext) -> CanonicalSubspace:
@@ -334,7 +341,7 @@ def dual(a: CanonicalSubspace) -> CanonicalSubspace:
     lanes = _lanes(ctx)
     rows = [r[::-1] for r in a.rows]
     _check_entries(rows, ctx.q, n)
-    reduced, pivots = _rref(_pack_rows(rows, lanes), n, lanes)
+    reduced, pivots, _ = _rref(_pack_rows(rows, lanes), n, lanes)
     pivots = [n - 1 - p for p in pivots]
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
@@ -346,7 +353,7 @@ def dual(a: CanonicalSubspace) -> CanonicalSubspace:
         for row, p in zip(reduced, pivots):
             x |= neg(row >> at & mask) << (p << sh)
         vectors.append(x)
-    return _canonical(vectors, tuple(free), n, lanes)
+    return _canonical(vectors, tuple(free), None, n, lanes)
 
 
 def contains(a: CanonicalSubspace, v) -> bool:
@@ -367,40 +374,60 @@ def _packed_rows(a: CanonicalSubspace):
     return packed
 
 
-def _eliminate(x, rows, pivots, lanes: _Lanes, width: int) -> int:
+def _pivot_mask(a: CanonicalSubspace):
+    """a.pivot_mask, built on first use."""
+    if a.pivot_mask is None:
+        lanes = _lanes(a.ctx)
+        a.pivot_mask = sum(lanes.mask << (p << lanes.sh) for p in a.pivots)
+    return a.pivot_mask
+
+
+def _eliminate(x, rows, mask, lanes: _Lanes, width: int) -> int:
     """x minus the multiples of rows that clear x on their pivot lanes.
 
-    rows are packed echelon rows of at most width lanes, each nonzero on
-    its pivot; the multiplier of a row is -e/lead, e being x's entry and
-    lead the row's entry on the pivot.  Rows add lane by lane over the
-    lanewise fields and entry by entry, with field calls, otherwise.
-    """
-    if lanes.ctx.q == 2:
-        # every multiplier is 1: no table is read
-        for row, c in zip(rows, pivots):
-            if x >> (c << 3) & 1:
-                x ^= row
-        return x
-    if not lanes.lanewise:
-        return lanes.pack(_eliminate_entries(lanes.unpack(x, width), rows,
-                                             pivots, lanes, width))
-    clear = _clearer(lanes.ctx, width)
-    for row, c in zip(rows, pivots):
-        if x >> (c << 3) & 255:
-            x = clear(x, row, c)
+    rows are packed rows of at most width lanes in pivot order, each zero
+    below its pivot and nonzero on it; mask has their pivot lanes' bits.
+    Over a lanewise field only the lanes where x meets mask are cleared,
+    lowest first, as a row changes x only from its pivot on; otherwise x is
+    unpacked once and cleared row by row."""
+    hits, sh, xor = x & mask, lanes.sh, lanes.ctx.q == 2
+    if hits and not lanes.lanewise:
+        return lanes.pack(_eliminate_entries(lanes.unpack(x, width), rows, [
+            (r & -r).bit_length() - 1 >> sh for r in rows], lanes, width))
+    if hits and not xor:    # over GF(2) every multiplier is 1: x ^= row
+        clear = _clearer(lanes.ctx, width)
+    while hits:
+        low = hits & -hits
+        row = rows[(mask & low - 1).bit_count() >> sh]
+        x = x ^ row if xor else clear(x, row, low.bit_length() - 1 >> sh)
+        hits = x & mask
     return x
+
+
+def _eliminate_entries(v, rows, pivots, lanes: _Lanes, width: int) -> list:
+    """_eliminate for a field whose rows add entry by entry, on the
+    entries v of x, rows in any order; the result has len(v) entries."""
+    mul, sub, inv = lanes.ctx.mul, lanes.ctx.sub, lanes.ctx.inv
+    for row, c in zip(rows, pivots):
+        if v[c]:
+            row = lanes.unpack(row, width)
+            f = mul(v[c], inv(row[c]))
+            v = [sub(d, mul(f, y)) if y else d for d, y in zip(v, row)]
+    return list(v)
 
 
 @lru_cache(maxsize=None)
 def _clearer(ctx: FieldContext, width: int):
-    """clear(x, row, c): one row of _eliminate, for rows of at most width
-    lanes nonzero on lane c; the field's case and the constants of the
-    prime lane sum are settled once per width."""
+    """clear(x, row, c): x minus the multiple -e/lead of row, e and lead
+    being x's and row's entries on lane c, for rows of at most width lanes
+    nonzero on lane c; the field's case and the constants of the prime
+    lane sum are settled once per width."""
     lanes = _lanes(ctx)
     if ctx.q == 2:
-        return lambda x, row, c: x ^ row
+        return lambda x, row, c: x ^ row    # every multiplier is 1
     if not lanes.lanewise:
-        return lambda x, row, c: _eliminate(x, (row,), (c,), lanes, width)
+        return lambda x, row, c: lanes.pack(_eliminate_entries(
+            lanes.unpack(x, width), (row,), (c,), lanes, width))
     neg_inv, p = lanes.neg_inv, lanes.p
     ones = (1 << (width << 3)) // 255       # 1 in each of width lanes
     low, high = (128 - p) * ones, ones << 7
@@ -418,33 +445,18 @@ def _clearer(ctx: FieldContext, width: int):
     return clear
 
 
-def _eliminate_entries(v, rows, pivots, lanes: _Lanes, width: int) -> list:
-    """_eliminate for a field whose rows add entry by entry, on the
-    entries v of x; the result has len(v) entries."""
-    mul, sub, inv = lanes.ctx.mul, lanes.ctx.sub, lanes.ctx.inv
-    unpack = lanes.unpack
-    for row, c in zip(rows, pivots):
-        e = v[c]
-        if e:
-            row = unpack(row, width)
-            f = mul(e, inv(row[c]))
-            v = [sub(d, mul(f, y)) if y else d for d, y in zip(v, row)]
-    return list(v)
-
-
 def reduce_vector(a: CanonicalSubspace, v):
     """Eliminate v against the echelon rows; zero iff v is in the span.
 
     a's rows may be longer than v if they are zero past it.  Entry-wise
     fields reduce v's entries as they are, with no packing round trip.
     """
-    lanes = _lanes(a.ctx)
-    packed, pivots, n = _packed_rows(a), a.pivots, a.n
+    lanes, packed = _lanes(a.ctx), _packed_rows(a)
     if not lanes.lanewise:
-        return _eliminate_entries(v, packed, pivots, lanes, n)
+        return _eliminate_entries(v, packed, a.pivots, lanes, a.n)
     # lanewise fields have byte lanes: packing inlined, as in _pack_rows
-    x = _eliminate(int.from_bytes(bytearray(v), "little"), packed, pivots,
-                   lanes, n)
+    x = _eliminate(int.from_bytes(bytearray(v), "little"), packed,
+                   _pivot_mask(a), lanes, a.n)
     return list(x.to_bytes(len(v), "little"))
 
 
@@ -452,14 +464,15 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
     """rank([A; B]), the dimension of the sum of A and B."""
     _check_ambient(a, b)
     lanes = _lanes(a.ctx)
-    # A's rows, then B's rows independent of them, each pivoted on its
-    # lowest nonzero lane
-    rows, pivots = list(_packed_rows(a)), list(a.pivots)
+    # A's rows and B's rows independent of them, in pivot order, each
+    # pivoted on its lowest nonzero lane (outside mask once cleared)
+    rows, mask = list(_packed_rows(a)), _pivot_mask(a)
     for x in _packed_rows(b):
-        x = _eliminate(x, rows, pivots, lanes, a.n)
+        x = _eliminate(x, rows, mask, lanes, a.n)
         if x:
-            rows.append(x)
-            pivots.append((x & -x).bit_length() - 1 >> lanes.sh)
+            at = (x & -x).bit_length() - 1 >> lanes.sh << lanes.sh
+            rows.insert((mask & (1 << at) - 1).bit_count() >> lanes.sh, x)
+            mask |= lanes.mask << at
     return len(rows)
 
 
@@ -513,14 +526,20 @@ def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
     pos = bisect_left(base.pivots, lead)
     rows = base.rows[:pos] + (v,) + base.rows[pos:]
     pivots = base.pivots[:pos] + (lead,) + base.pivots[pos:]
-    packed = base.packed
+    packed, mask, lanes = base.packed, base.pivot_mask, _lanes(ctx)
     if packed is not None:
-        # byte lanes inlined, as in _pack_rows: the codec adds a row per
-        # level
-        x = (int.from_bytes(bytearray(v), "little") if ctx.q <= 256
-             else _lanes(ctx).pack(v))
-        packed = packed[:pos] + (x,) + packed[pos:]
-    return CanonicalSubspace(ctx, base.n, rows, pivots, packed)
+        packed = packed[:pos] + (lanes.pack(v),) + packed[pos:]
+    if mask is not None:
+        mask |= lanes.mask << (lead << lanes.sh)
+    return CanonicalSubspace(ctx, base.n, rows, pivots, packed, mask)
+
+
+def _without_row(a: CanonicalSubspace, j: int) -> CanonicalSubspace:
+    """a's rows but row j, with its pivot, packed row and mask lane cut."""
+    lanes = _lanes(a.ctx)
+    mask = _pivot_mask(a) ^ lanes.mask << (a.pivots[j] << lanes.sh)
+    return CanonicalSubspace(a.ctx, a.n, *[t[:j] + t[j + 1:] for t in (
+        a.rows, a.pivots, _packed_rows(a))], mask)
 
 
 def extension_block(base: CanonicalSubspace, top: int, classes):
@@ -533,8 +552,8 @@ def extension_block(base: CanonicalSubspace, top: int, classes):
     digits that differ, like an odometer.
     """
     ctx, n, rows, pivots = base.ctx, base.n, base.rows, base.pivots
-    q, sh = ctx.q, _lanes(ctx).sh
-    packed = _packed_rows(base)
+    q, lanes = ctx.q, _lanes(ctx)
+    sh, packed, mask = lanes.sh, _packed_rows(base), _pivot_mask(base)
     if any(any(r[top:]) for r in rows):
         raise ValueError("base must be zero from column %d on" % top)
     digits = sorted(set(range(top)).difference(pivots))
@@ -546,8 +565,8 @@ def extension_block(base: CanonicalSubspace, top: int, classes):
         for r in digits:
             if a == b:
                 break
-            a, da = divmod(a, q)
-            b, db = divmod(b, q)
+            da, a = a % q, a // q       # cheaper than divmod on small ints
+            db, b = b % q, b // q
             if da != db:
                 v[r] = db
                 x += db - da << (r << sh)
@@ -558,10 +577,10 @@ def extension_block(base: CanonicalSubspace, top: int, classes):
             pos = bisect_left(pivots, lead)
             split = splits[lead] = (
                 rows[:pos], rows[pos:], pivots[:pos] + (lead,) + pivots[pos:],
-                packed[:pos], packed[pos:])
-        lo, hi, piv, plo, phi = split
+                packed[:pos], packed[pos:], mask | lanes.mask << (lead << sh))
+        lo, hi, piv, plo, phi, pmask = split
         yield CanonicalSubspace(ctx, n, lo + (tuple(v),) + hi, piv,
-                                plo + (x,) + phi)
+                                plo + (x,) + phi, pmask)
 
 
 def enumerate_subspaces(n: int, k: int, ctx: FieldContext):
@@ -584,7 +603,7 @@ def enumerate_subspaces(n: int, k: int, ctx: FieldContext):
                 grid[i][p] = 1
             for (i, c), val in zip(free_cells, values):
                 grid[i][c] = val
-            yield _canonical(_pack_rows(grid, lanes), pivots, n, lanes)
+            yield _canonical(_pack_rows(grid, lanes), pivots, None, n, lanes)
 
 
 def subspaces_of(a: CanonicalSubspace, k: int):
@@ -610,12 +629,9 @@ def superspaces_of(a: CanonicalSubspace, k: int):
 
 
 def pack_subspace(a: CanonicalSubspace) -> tuple:
-    """A hashable key for distinctness sets: the packed rows.
-
-    Keys compare subspaces of one ambient space and field; canonical rows
-    are unique to the subspace, so keys are equal exactly when the
-    subspaces are.
-    """
+    """A hashable key for distinctness sets: the packed rows.  Canonical
+    rows are unique to the subspace, so keys (of one ambient space and
+    field) are equal exactly when the subspaces are."""
     return _packed_rows(a)
 
 

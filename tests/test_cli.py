@@ -319,6 +319,25 @@ def test_counts_above_the_digit_cap(capsys):
     assert big_int(deficit.split("=")[1]) == report.deficit
 
 
+def test_non_integer_index_is_not_an_integer(capsys):
+    # "1e3" has more characters than any index of a 35-item code has
+    # digits, and must not be taken for an index out of range
+    for bad in ("1e3", "abc", "1" * 10 ** 6 + "e", "1__2", "+-1", ""):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "encode", "--n", "4", "--k", "2",
+                             "--q", "2", "--index", bad)
+        assert code == 2 and out == "", bad
+        assert "not an integer" in err and "range" not in err, (bad, err)
+        assert time.perf_counter() - start < 1.0
+    # what int() reads stays an index: signs, underscores, spaces
+    for text, m in (("+1_0", 10), (" 7 ", 7), ("-0", 0)):
+        code, out, _ = run(capsys, "encode", "--n", "4", "--k", "2", "--q",
+                           "2", "--index", text)
+        assert code == 0 and out == run(capsys, "encode", "--n", "4", "--k",
+                                        "2", "--q", "2", "--index",
+                                        str(m))[1], text
+
+
 def test_overlong_index_is_out_of_range_at_once(capsys):
     # converting a million digits would take seconds; the digit count
     # alone rules it out

@@ -264,9 +264,11 @@ def _extension_levels(sub, k):
 
 
 def test_reference_decode_builds_o_k_levels(monkeypatch):
-    # each successor encode builds about two levels and takes the rest
-    # from the levels built before it in the same decode; re-encoding every
-    # successor in full makes about 16 extend_subspace calls per level
+    # each successor encode starts from the decode's own base and closing
+    # row, or from a level an earlier encode of the same decode built, and
+    # builds one level; re-encoding every successor in full makes about 16
+    # extend_subspace calls per level, and rebuilding each successor's base
+    # about 2
     import grayspace.codec as codec_module
     calls = []
     real = codec_module.extend_subspace
@@ -280,7 +282,7 @@ def test_reference_decode_builds_o_k_levels(monkeypatch):
         assert levels > 16
         calls.clear()
         assert decode(params, sub) == m
-        assert len(calls) <= 3 * levels, (len(calls), levels)
+        assert 0 < len(calls) <= levels, (len(calls), levels)
 
 
 def test_round_trip_at_prime_field_above_256():
@@ -313,7 +315,7 @@ def test_decode_fast_successor_direction():
             assert index == m and item == cur
             for direction in (x(), y()):
                 assert (_closing_class(cur, direction)
-                        == closing_class_index(cur, nxt)), (n, k, q, m)
+                        == closing_class_index(cur, nxt)[0]), (n, k, q, m)
 
 
 def test_via_dual():

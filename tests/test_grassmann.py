@@ -366,14 +366,15 @@ def test_closing_class_from_direction_matches_reference():
         ctx = field_from_order(q)
         items = list(iter_simple(n, k, ctx))
         for base, succ in zip(items, items[1:] + items[:1]):
-            want = closing_class_index(base, succ)
+            want, named = closing_class_index(base, succ)
             # the rule itself: the closing representative less its final 1
             # is a vector of succ + base whose leading entry is 1
             x = representatives(base)[want][:-1]
             assert x[L.leading_column(x)] == 1
             assert L.contains(L.subspace_sum(base, succ), x)
-            outside =[u for u in succ.rows if not L.contains(base, u)]
-            assert outside
+            outside = [u for u in succ.rows if not L.contains(base, u)]
+            # the row handed back is one of them
+            assert named in outside
             for u in outside:
                 for alpha in range(1, q):
                     x = [ctx.mul(alpha, t) for t in u]

@@ -424,6 +424,13 @@ def _packing_of(sub):
     return _fresh_packing(sub.rows, sub.ctx.q)
 
 
+def _mask_of(sub):
+    """What sub.pivot_mask must hold once built: every bit of each pivot
+    lane."""
+    bits = 8 if sub.ctx.q <= 256 else 16
+    return sum(((1 << bits) - 1) << (bits * p) for p in sub.pivots)
+
+
 def _tuple_reduce(a, v):
     ctx = a.ctx
     v = list(v)
@@ -532,6 +539,7 @@ def test_packed_rows_at_every_codec_level(data):
         # stripped ones; packed ints appear on first use and carry over
         assert base.pivots == tuple(map(L.leading_column, base.rows))
         assert base.packed in (None, _packing_of(base))
+        assert base.pivot_mask in (None, _mask_of(base))
         out = reduce_vector(base, x)
         assert out == _tuple_reduce(base, x)
         bases.append(base)
@@ -545,6 +553,74 @@ def test_packed_rows_at_every_codec_level(data):
     # below an extension level of a k >= 2 item lies a base with a
     # successor, so the reference decode reduces at least once
     assert bases or m == 0 or k == 1
+
+
+def _mask_carrying_bases(rng, ctx):
+    """(path, base) over GF(q)^n, n <= 32, for every way a subspace gets
+    its pivot mask: filled by simple_subspace and canonicalize, set by
+    extend_subspace and extension_block, cleared by the reference decode's
+    row removal, and built on first use for rows alone (which
+    extend_subspace then leaves unbuilt)."""
+    q = ctx.q
+    n = rng.randint(2, 32)
+    k = rng.randint(1, min(n - 1, 8))
+    simple = L.simple_subspace(n, k, ctx)
+    rows = [[rng.randrange(q) if rng.random() < 0.5 else 0
+             for _ in range(n)] for _ in range(k + 1)]
+    rows[0][rng.randrange(n)] = 1           # so that canon has a row
+    canon = L.canonicalize(rows, n, ctx)
+    bare = L.CanonicalSubspace(ctx, n, canon.rows, canon.pivots)
+    yield "canonicalize", canon
+    yield "simple_subspace", simple
+    for base in (simple, canon, L.CanonicalSubspace(ctx, n, canon.rows,
+                                                    canon.pivots)):
+        x = L.reduce_vector(base, [rng.randrange(q) for _ in range(n)])
+        if any(x):
+            yield "extend_subspace", L.extend_subspace(base, x)
+    top = rng.randrange(k - 1, n)
+    base = L.canonicalize([r[:top] + [0] * (n - top) for r in rows[:k - 1]]
+                          + [[0] * n], n, ctx)
+    width = q ** min(top - base.k, 4)       # the classes on the low digits
+    classes = sorted(rng.sample(range(width), min(width, 3)))
+    for item in L.extension_block(base, top, classes):
+        yield "extension_block", item
+    for j in range(canon.k):
+        yield "_without_row", L._without_row(canon, j)
+    yield "rows alone", bare
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32))
+def test_carried_pivot_masks_reduce_as_the_oracle(seed):
+    # the masks a walk carries name exactly the pivot lanes, or the hit
+    # path would skip a lane it must clear or clear one by the wrong row
+    rng = random.Random(seed)
+    for ctx in KERNEL_FIELDS:
+        q, paths = ctx.q, set()
+        for path, base in _mask_carrying_bases(rng, ctx):
+            paths.add(path)
+            assert base.pivot_mask in (None, _mask_of(base)), path
+            n = base.n
+            span = [[rng.randrange(q) for _ in base.rows] for _ in range(2)]
+            vectors = [[rng.randrange(q) for _ in range(n)],
+                       [rng.randrange(q) if rng.random() < 0.1 else 0
+                        for _ in range(n)]]
+            vectors += [[reduce(ctx.add, col, 0) for col in zip(*[
+                [ctx.mul(f, e) for e in r] for f, r in zip(fs, base.rows)])]
+                        if base.rows else [0] * n for fs in span]
+            for v in vectors:
+                assert L.reduce_vector(base, v) == _tuple_reduce(base, v), (
+                    path, q, base.rows, v)
+            # a rank skips the rows of the lanes outside the mask, whatever
+            # the field
+            assert L.stacked_rank(base, L.canonicalize(vectors, n, ctx)) == (
+                L.canonicalize(list(base.rows) + vectors, n, ctx).k), path
+            if path == "rows alone":
+                # built on first use: by a reduction over a lanewise field
+                # (entry-wise ones reduce unpacked), by a rank over any
+                assert base.pivot_mask == _mask_of(base)
+        assert {"canonicalize", "simple_subspace", "extension_block",
+                "_without_row", "rows alone"} <= paths, (q, paths)
 
 
 def test_entries_outside_the_field_are_rejected():
