@@ -9,14 +9,15 @@ by one row ending in 1 at column top-1.
 
 In canonical form a placed row never changes, so the canonical matrix is
 a list of levels, one extending row each, down to a simple subspace.
-encode and decode_fast walk that list in two flat loops.  A top-down pass
-fixes each level's top: encode reads (top, i, jpos) off the Gaussian
-counts, decode_fast reads each row's top once, orders the rows by it and
-checks the canonical-extension conditions.  A bottom-up pass then starts
-from the simple subspace at the full width n and adds one row per level
-with extend_subspace, keeping nothing beside the base: per level it
-reads the class c and the block's closing class between the base's
-pivots (_row_class), then the index or the row (_class_row).
+Every walk goes over that list in two flat loops.  A top-down pass fixes
+each level's top: encode reads (top, i, jpos) off the Gaussian counts;
+the decoders remove each level's row from the input (_without_row), so
+the rows left are the level's base, and check the canonical-extension
+conditions.  A bottom-up pass then reads, per level, the class c and the
+block's closing class between the base's pivots (_row_class), then the
+index or, in encode, the row (_class_row): encode starts from the simple
+subspace at the full width n and adds one row per level with
+extend_subspace, keeping nothing beside the base.
 
 The closing class depends on the base's successor.  Every level hands
 up, with its row, the means to build one vector x spanning the item's
@@ -24,16 +25,17 @@ successor modulo the item from its block position (_next_direction): a
 block with a successor builds the x of its base and reads its closing
 class off it in one vector reduction, and no successor is ever encoded.
 
-decode is the plain reference decode_fast is tested against: it strips
-one zero column at a time, recurses once per extension level and takes
-each closing class from closing_class_index on an explicitly encoded
-successor.  Those encodes start from the decode's own bases and closing
-rows and share what they build: each builds one level, O(k) in all.
-decode_via_dual and the command line use decode_fast.
+decode is the plain reference decode_fast is tested against: top-down
+it strips one zero column at a time or removes that column's row, and
+bottom-up it takes each closing class from closing_class_index on an
+explicitly encoded successor.  Those encodes start from the decode's own
+bases and closing rows and share what they build: each builds one level,
+O(k) in all.  decode_via_dual and the command line use decode_fast.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from operator import ge, itemgetter
@@ -45,7 +47,7 @@ from .grassmann_gray import (class_at_position, class_position,
 from .linalg import (CanonicalSubspace, _check_entries, _without_row, dual,
                      extend_subspace, last_nonzero, leading_column,
                      simple_subspace)
-from .qcombin import gaussian, gaussian_product_tree, gaussian_step_down
+from .qcombin import gaussian, gaussian_product_tree
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class CodecParams:
     ctx: FieldContext
 
     def __post_init__(self):
+        if {type(self.n), type(self.k)} != {int}:
+            raise TypeError("n and k must be ints")
         if not 0 <= self.k <= self.n:
             raise ValueError("need 0 <= k <= n")
 
@@ -120,34 +124,38 @@ def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     return _encode(params.n, params.k, params.q, params.ctx, m)[0]
 
 
-def _decode(n, k, q, ctx, W, g, built):
-    """The index of W, zero from column n on, in the (n,k) code of size g;
-    built is shared by the successor encodes of one decode (see _encode)."""
+def _decode(W):
+    """The index of W, re-wrapped by _check_input, in the (W.n, W.k) code;
+    the successor encodes of one decode share the levels they build in
+    built (see _encode)."""
+    n, k, ctx, built, levels = W.n, W.k, W.ctx, {}, []
     while 0 < k < n:
-        g2, g1 = gaussian_step_down(g, n, k, q)
-        if any(map(itemgetter(n - 1), W.rows)):
-            break
-        n, g = n - 1, g1                    # strip a zero column
-    else:
-        return 0
-    # the extending row is the one nonzero in column n-1; the base is W
-    # without it, its rows, pivots, packed ints and pivot mask cut from W's
-    (j, v), *more = [(j, r) for j, r in enumerate(W.rows) if r[n - 1]]
-    base = _without_row(W, j)
-    if more or v[n - 1] != 1 or any(map(v.__getitem__, base.pivots)):
-        raise ValueError("not a canonical extension matrix")
-    i = _decode(n - 1, k - 1, q, ctx, base, g2, built)
-    width = q ** (n - k)
-    c = _row_class(v, base.pivots, n - 1, q)
-    if g2 == 1:
-        last = width - 1
-    else:
-        succ, _ = _encode(n - 1, k - 1, q, ctx, (i + 1) % g2, W.n, built)
-        last, u = closing_class_index(base, succ)
-        # the successor encode one level up starts here, not below base
-        built.setdefault((n - 1, k - 1, i), (base, lambda: u))
-    jpos = class_position(last, width, c)
-    return g1 + ((width * i + jpos - 1) % (width * g2))
+        if not any(map(itemgetter(n - 1), W.rows)):
+            n -= 1                          # strip a zero column
+            continue
+        # the extending row is the one nonzero in column n-1
+        (j, v), *more = [(j, r) for j, r in enumerate(W.rows) if r[n - 1]]
+        base = _without_row(W, j)
+        if more or v[n - 1] != 1 or any(map(v.__getitem__, base.pivots)):
+            raise ValueError("not a canonical extension matrix")
+        levels.append((n, k, v, base))
+        W, n, k = base, n - 1, k - 1
+    q, index = ctx.q, 0
+    for n, k, v, base in reversed(levels):
+        g2, width = gaussian_product_tree(n - 1, k - 1, q), q ** (n - k)
+        c = _row_class(v, base.pivots, n - 1, q)
+        if g2 == 1:
+            last = width - 1
+        else:
+            succ, _ = _encode(n - 1, k - 1, q, ctx, (index + 1) % g2, W.n,
+                              built)
+            last, u = closing_class_index(base, succ)
+            # the successor encode one level up starts here, not below base
+            built.setdefault((n - 1, k - 1, index), (base, lambda u=u: u))
+        jpos = class_position(last, width, c)
+        index = gaussian_product_tree(n - 1, k, q) + (
+            (width * index + jpos - 1) % (width * g2))
+    return index
 
 
 def _unit(n, i):
@@ -183,58 +191,53 @@ def _next_direction(q, n, k, top, i, jpos, width, last, pivots):
                       n, q)
 
 
-def _decode_fast(n, k, q, ctx, rows):
-    """(index, x): the index of span(rows) in the (n,k) code and, as in
-    _encode, a function x() giving a vector spanning the successor (item
-    index+1, cyclically) modulo the item; the mirror of _encode.
+def _decode_fast(W):
+    """(index, x): the index of W, re-wrapped by _check_input, in the
+    (W.n, W.k) code and, as in _encode, a function x() giving a vector
+    spanning the successor (item index+1, cyclically) modulo the item; the
+    mirror of _encode.
     """
+    n, k, q, x, rows, leads = W.n, W.k, W.ctx.q, None, W.rows, W.pivots
     if k == 0 or k == n:
         return 0, None
-    width_n = n
-    x = None
     # each level's extending row is the one with the level's top, so the
-    # rows in descending order of top are the levels, top down
-    tops = [last_nonzero(r) + 1 for r in rows]
-    leads = list(map(leading_column, rows))
-    order = sorted(range(k), key=tops.__getitem__, reverse=True)
+    # rows in descending order of top are the levels, top down; a level's
+    # base is the rows left once its row is removed
+    tops = [last_nonzero(r) + 1 for r in rows] + [0]    # 0: below the last
+    order = sorted(range(k), key=tops.__getitem__, reverse=True) + [k]
     levels = []
-    for depth, j in enumerate(order):
+    for j, below in zip(order, order[1:]):
         top = tops[j]
         if top == k:
             x = partial(_unit, n, k)
             break
         v = rows[j]
-        below = order[depth + 1:]
-        if ((below and tops[below[0]] == top) or v[top - 1] != 1
-                or any(map(v.__getitem__, map(leads.__getitem__, below)))):
+        base = _without_row(W, bisect_left(W.pivots, leads[j]))
+        if (tops[below] == top or v[top - 1] != 1
+                or any(map(v.__getitem__, base.pivots))):
             raise ValueError("not a canonical extension matrix")
-        g2 = gaussian_product_tree(top - 1, k - 1, q)
-        levels.append((n, k, top, j, g2))
-        n, k = top - 1, k - 1
-    # the rows left below the last level have tops <= k and pivots
-    # 0..k-1, so they span W^k: the simple base reduces as they would
-    base = simple_subspace(width_n, k, ctx)
+        levels.append((n, k, top, v, base))
+        W, n, k = base, top - 1, k - 1
     index = 0
-    for n, k, top, j, g2 in reversed(levels):
-        v = rows[j]
+    for n, k, top, v, base in reversed(levels):
         pivots = base.pivots
         c = _row_class(v, pivots, top - 1, q)
-        width = q ** (top - k)
+        width, g2 = q ** (top - k), gaussian_product_tree(top - 1, k - 1, q)
         # as in _encode, a lone block closes on width-1
         last = _closing_class(base, x()) if g2 > 1 else width - 1
         jpos = class_position(last, width, c)
-        i = index
-        index = gaussian_product_tree(top - 1, k, q) + (
-            (width * i + jpos - 1) % (width * g2))
+        i, index = index, gaussian_product_tree(top - 1, k, q) + (
+            (width * index + jpos - 1) % (width * g2))
         x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
                     pivots)
-        base = extend_subspace(base, v)
     return index, x
 
 
 def _check_input(params, W):
     """Reject a subspace of the wrong shape or field, entries outside the
-    field, or rank below k; return its rows' leading columns.
+    field, or rank below k; return W re-wrapped, its pivots the rows'
+    leading columns and its packed rows and pivot mask built anew, as W's
+    own are not trusted.
 
     Nonzero rows with strictly increasing leading columns certify rank k.
     """
@@ -247,7 +250,7 @@ def _check_input(params, W):
     leads = tuple(map(leading_column, W.rows))
     if any(map(ge, (-1,) + leads, leads + (W.n,))):
         raise ValueError("rows are not a row echelon basis of rank %d" % W.k)
-    return leads
+    return CanonicalSubspace(W.ctx, W.n, tuple(W.rows), leads)
 
 
 def decode(params: CodecParams, W: CanonicalSubspace) -> int:
@@ -263,13 +266,10 @@ def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     parse_subspace are canonical.
 
     This is the reference: it encodes each block's successor base,
-    starting from the bases it decoded and their closing rows, and
-    recurses once per extension level, so near 990 levels, e.g. at
-    (1100,1050,2), it raises RecursionError; use decode_fast there.
+    starting from the bases it decoded and their closing rows, and reads
+    the block's closing class off it.
     """
-    # packed rows and pivot mask are built anew: W's are not trusted
-    W = CanonicalSubspace(W.ctx, W.n, tuple(W.rows), _check_input(params, W))
-    return _decode(W.n, W.k, params.q, W.ctx, W, params.size, {})
+    return _decode(_check_input(params, W))
 
 
 def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
@@ -279,8 +279,7 @@ def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
     that the level below computes and hands up (see _decode_fast); decode
     is the reference.  Input is checked as in decode.
     """
-    _check_input(params, W)
-    return _decode_fast(params.n, params.k, params.q, params.ctx, W.rows)[0]
+    return _decode_fast(_check_input(params, W))[0]
 
 
 def _dual_params(params: CodecParams) -> CodecParams:
@@ -302,5 +301,4 @@ def decode_via_dual(params: CodecParams, W: CanonicalSubspace) -> int:
     """Inverse of encode_via_dual, through decode_fast."""
     if 2 * params.k <= params.n:
         return decode_fast(params, W)
-    _check_input(params, W)
-    return decode_fast(_dual_params(params), dual(W))
+    return decode_fast(_dual_params(params), dual(_check_input(params, W)))

@@ -52,8 +52,8 @@ file format.  pack_subspace keys a subspace by its packed rows.  The codes
 are built n wide: a subspace of W^top is kept in all n columns, zero from
 column top on, so no level pads its items.  extend_subspace and
 extension_block, which add one row, and _without_row, which removes one
-for the reference decode, pass on the ints the two subspaces share and
-set or clear the row's lane in the mask.  No other module reads or builds
+for both decoders, pass on the ints the two subspaces share and set or
+clear the row's lane in the mask.  No other module reads or builds
 packed ints.
 """
 

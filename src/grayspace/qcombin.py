@@ -44,9 +44,11 @@ def _product_tree(terms) -> int:
     return terms[0]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)    # typed: 6.0 never takes 6's entry
 def gaussian_product_tree(n: int, k: int, q: int) -> int:
     """[n k]_q via separate pairwise product trees and one exact division."""
+    if {type(n), type(k), type(q)} != {int}:    # run on a cache miss only
+        raise TypeError("n, k and q must be ints")
     if q < 2:
         raise ValueError("q must be >= 2")
     if k < 0 or k > n:

@@ -24,6 +24,23 @@ def test_params_validation():
     assert p.size == 35
 
 
+def test_non_int_sizes_raise_and_leave_the_gaussian_cache_alone():
+    # 6.0 == 6 and hashes alike, so an untyped cache would hand a float's
+    # entry to the int call and the int's to the float call
+    for args in [(6.0, 2, 2), (6.0, 3, 2), (6, 2.0, 2), (6, 2, 2.0)]:
+        with pytest.raises(TypeError):
+            gaussian(*args)
+    for value in (gaussian(6, 2, 2), CodecParams(7, 3, F2).size):
+        assert type(value) is int
+    assert gaussian(6, 2, 2) == 651
+    for n, k in [(4.0, 2), (4, 2.0), (4, True)]:
+        with pytest.raises(TypeError):
+            CodecParams(n, k, F2)
+    params = CodecParams(7, 3, F2)
+    for m in (0, 5, params.size - 1):
+        assert decode_fast(params, encode(params, m)) == m
+
+
 def test_encode_zero_is_simple():
     for (n, k, q) in [(4, 2, 2), (5, 3, 3), (3, 1, 4), (6, 2, 2)]:
         ctx = field_from_order(q)
@@ -236,6 +253,35 @@ def test_round_trip_deeper_than_the_stack_limit():
         assert decode_fast(params, encode(params, m)) == m
 
 
+def test_reference_decode_deeper_than_the_stack_limit():
+    # 1000 extension levels: the reference decode loops over its levels too
+    params = CodecParams(1010, 1000, F2)
+    m = random.Random(25).randrange(params.size)
+    sub = encode(params, m)
+    assert decode(params, sub) == decode_fast(params, sub) == m
+
+
+def test_decode_fast_builds_no_level(monkeypatch):
+    # each level's base is the input's rows left once the level's row is
+    # removed, so decode_fast neither starts from a simple subspace nor
+    # extends one
+    import grayspace.codec as codec_module
+    cases = []
+    for (n, k, q) in [(128, 32, 2), (256, 4, 3)]:
+        params = CodecParams(n, k, field_from_order(q))
+        rng = random.Random(26)
+        for m in [0, 1, params.size - 1] + [rng.randrange(params.size)
+                                            for _ in range(4)]:
+            cases.append((params, m, encode(params, m)))
+
+    def refuse(*args):
+        raise AssertionError("decode_fast built a level")
+    for name in ("simple_subspace", "extend_subspace"):
+        monkeypatch.setattr(codec_module, name, refuse)
+    for params, m, sub in cases:
+        assert decode_fast(params, sub) == m
+
+
 def test_reference_decode_keeps_no_state_between_calls():
     # codecs of different n and k over one field, and one of the same n and
     # k over another field, decoded alternately at the same indices, so
@@ -310,7 +356,7 @@ def test_decode_fast_successor_direction():
         ctx = field_from_order(q)
         items = list(iter_simple(n, k, ctx))
         for m, (cur, nxt) in enumerate(zip(items, items[1:] + items[:1])):
-            index, x = _decode_fast(n, k, q, ctx, list(cur.rows))
+            index, x = _decode_fast(cur)
             item, y = _encode(n, k, q, ctx, m)
             assert index == m and item == cur
             for direction in (x(), y()):

@@ -42,11 +42,12 @@ SECONDS = 20            # run length of each workload, as the benchmark sets
 
 
 def seed_range(text):
-    """'A-B' or 'A' as a list of ints."""
+    """'A-B' as a list of ints; the quartiles need at least two seeds."""
     lo, _, hi = text.partition("-")
     seeds = list(range(int(lo), int(hi or lo) + 1))
-    if not seeds:
-        raise argparse.ArgumentTypeError("empty seed range %r" % text)
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(
+            "seed range %r has fewer than two seeds" % text)
     return seeds
 
 
