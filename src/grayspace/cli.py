@@ -7,7 +7,8 @@ parameters, 3 dimension mismatch, 4 file parse failure.
 Indices and counts can have more decimal digits than the interpreter's cap
 on int <-> str conversion (4300 by default); main lifts the cap while a
 command runs, where the interpreter has one, and an --index too long for
-any index of the code is out of range before it is converted.
+any index of the code is out of range before it is converted.  _decimal
+prints them, in less than the quadratic time of the interpreter's str.
 """
 
 from __future__ import annotations
@@ -67,6 +68,27 @@ def _read_in(path):
         raise CliError(str(exc), EXIT_FAIL)
 
 
+def _decimal(m: int) -> str:
+    """str(m) for an int m >= 0, divide and conquer: m is cut in halves of
+    2^(12+j) bits, which are joined in decimal arithmetic (subquadratic)."""
+    if m.bit_length() <= 1 << 15:
+        return str(m)
+    import decimal
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC,
+                                              Emax=decimal.MAX_EMAX)):
+        powers = [decimal.Decimal(1 << 4096)]   # 2^(2^(12+j)) at j
+        while 4096 << len(powers) < m.bit_length():
+            powers.append(powers[-1] * powers[-1])
+
+        def join(x, j):     # x < 2^(2^(12+j)), as a Decimal
+            if not j:
+                return decimal.Decimal(x)
+            hi = x >> (2048 << j)
+            return (join(x - (hi << (2048 << j)), j - 1)
+                    + join(hi, j - 1) * powers[j - 1])
+        return str(join(m, len(powers)))
+
+
 def cmd_gen(args) -> int:
     ctx = _field(args.q)
     _check_nk(args.n, args.k)
@@ -111,7 +133,8 @@ def cmd_encode(args) -> int:
     text = format_subspace(sub)
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "q": ctx.q,
-                          "index": str(m), "matrix": [list(r) for r in sub.rows]}))
+                          "index": _decimal(m),
+                          "matrix": [list(r) for r in sub.rows]}))
     else:
         print(text)
     return EXIT_OK
@@ -138,9 +161,9 @@ def cmd_decode(args) -> int:
         m = codec.decode_fast(params, sub)
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "q": ctx.q,
-                          "index": str(m)}))
+                          "index": _decimal(m)}))
     else:
-        print(m)
+        print(_decimal(m))
     return EXIT_OK
 
 
@@ -154,9 +177,9 @@ def cmd_count(args) -> int:
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "q": ctx.q,
                           "lower_bound": bool(args.lower_bound),
-                          "value": str(value)}))
+                          "value": _decimal(value)}))
     else:
-        print(value)
+        print(_decimal(value))
     return EXIT_OK
 
 

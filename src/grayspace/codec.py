@@ -8,29 +8,32 @@ simple subspace or, past its trailing zero columns, an extension of a
 by one row ending in 1 at column top-1.
 
 In canonical form a placed row never changes, so the canonical matrix is
-a list of levels, one extending row each, down to a simple subspace.
-Every walk goes over that list in two flat loops.  A top-down pass fixes
-each level's top: encode reads (top, i, jpos) off the Gaussian counts;
-the decoders remove each level's row from the input (_without_row), so
-the rows left are the level's base, and check the canonical-extension
-conditions.  A bottom-up pass then reads, per level, the class c and the
-block's closing class between the base's pivots (_row_class), then the
-index or, in encode, the row (_class_row): encode starts from the simple
-subspace at the full width n and adds one row per level with
-extend_subspace, keeping nothing beside the base.
+a list of levels, one extending row each, above a simple subspace.  The
+walks hold the item they are at as one walk state, lists of pivots and
+packed rows (linalg's lanes) and a pivot-mask int, changed in place.
+encode fixes each level's (top, i, jpos) off the Gaussian counts top
+down, then goes up from the simple subspace: per level it reads the
+block's closing class between the base's pivots and puts the class's row
+(_class_row) into the state, which it wraps as a CanonicalSubspace once,
+at the end.  decode_fast goes up the input's rows in ascending order of
+top, the levels bottom up: per level it checks the canonical-extension
+conditions against the rows below, reads the class (_row_class) and the
+closing class, then the index, and puts the row into the state.
 
 The closing class depends on the base's successor.  Every level hands
-up, with its row, the means to build one vector x spanning the item's
-successor modulo the item from its block position (_next_direction): a
-block with a successor builds the x of its base and reads its closing
-class off it in one vector reduction, and no successor is ever encoded.
+up, with its row, the means to build one packed vector x spanning the
+item's successor modulo the item from its block position
+(_next_direction): a block with a successor builds the x of its base and
+reads its closing class off it in one vector reduction, and no successor
+is ever encoded.
 
 decode is the plain reference decode_fast is tested against: top-down
-it strips one zero column at a time or removes that column's row, and
-bottom-up it takes each closing class from closing_class_index on an
-explicitly encoded successor.  Those encodes start from the decode's own
-bases and closing rows and share what they build: each builds one level,
-O(k) in all.  decode_via_dual and the command line use decode_fast.
+it strips one zero column at a time or pops that column's row off the
+state; bottom-up it puts the rows back and takes each closing class off
+the rows of an explicitly encoded successor.  Those encodes start from
+snapshots of the state, the decode's bases and closing rows, and share
+what they build: each builds one level, O(k) in all.  decode_via_dual
+and the command line use decode_fast.
 """
 
 from __future__ import annotations
@@ -38,15 +41,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import ge, itemgetter
+from operator import ge
 
 from .field import FieldContext
-from .grassmann_gray import (class_at_position, class_position,
-                             closing_class_index, _class_row,
-                             _closing_class, _row_class)
-from .linalg import (CanonicalSubspace, _check_entries, _without_row, dual,
-                     extend_subspace, last_nonzero, leading_column,
-                     simple_subspace)
+from .grassmann_gray import (class_at_position, class_position, _class_row,
+                             _closing_class, _closing_row, _row_class)
+from .linalg import (CanonicalSubspace, _check_entries, _lanes, _packed_rows,
+                     _pivot_mask, dual, leading_column)
 from .qcombin import gaussian, gaussian_product_tree
 
 
@@ -72,14 +73,16 @@ class CodecParams:
 
 
 def _encode(n, k, q, ctx, m, width_n=None, built=None):
-    """(item, x): the m-th item of the (n,k) code, width_n (default n)
-    wide, and a function x() giving a vector of length n that spans the
-    successor (item m+1, cyclically) modulo the item, None for k = 0 or
-    k = n.  built maps (n, k, m) to the (item, x) of each level known so
-    far at this width; the top-down pass stops at the first one there.
+    """(state, x): the m-th item of the (n,k) code as a walk state, width_n
+    (default n) wide, and a function x() giving a packed vector spanning
+    the successor (item m+1, cyclically) modulo the item, None for k = 0
+    or k = n.  built, if given, maps (n, k, m) to the state, as tuples,
+    and x of each level known so far: the top-down pass stops at the
+    first one there, and each level built goes in.
     """
-    width_n, built = width_n or n, {} if built is None else built
-    x = None
+    width_n, keep, x = width_n or n, built is not None, None
+    built, lanes = built if keep else {}, _lanes(ctx)
+    sh, lane = lanes.sh, lanes.mask
     # top-down: each level's base is item i of the (top-1, k-1) code
     levels = []
     while 0 < k < n and (n, k, m) not in built:
@@ -90,7 +93,7 @@ def _encode(n, k, q, ctx, m, width_n=None, built=None):
             top -= 1
             g1 = gaussian_product_tree(top - 1, k, q)
         if top == k:
-            x = partial(_unit, n, k)
+            x = partial(_unit, q, k)
             break
         width = q ** (top - k)
         g2 = gaussian_product_tree(top - 1, k - 1, q)
@@ -99,19 +102,28 @@ def _encode(n, k, q, ctx, m, width_n=None, built=None):
         jpos = t % width
         levels.append((n, k, m, top, i, jpos, width, g2))
         n, k, m = top - 1, k - 1, i
-    # bottom-up from the level found in built or the simple subspace;
-    # every base has rows of width width_n, zero from its top on
-    base, x = built.get((n, k, m)) or (simple_subspace(width_n, k, ctx), x)
+    # bottom-up from the level found in built or the simple subspace
+    (pivots, packed, mask), x = built.get((n, k, m)) or (
+        (range(k), [1 << (i << sh) for i in range(k)], (1 << (k << sh)) - 1),
+        x)
+    pivots, packed = list(pivots), list(packed)
     for n, k, m, top, i, jpos, width, g2 in reversed(levels):
         # a lone block (g2 = 1) runs in plain order and closes on width-1
-        last = _closing_class(base, x()) if g2 > 1 else width - 1
+        last = (_closing_class(lanes, pivots, packed, mask, x(), width_n)
+                if g2 > 1 else width - 1)
         c = class_at_position(last, width, jpos)
-        pivots = base.pivots
         x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
-                    pivots)
-        base = extend_subspace(base, _class_row(c, pivots, top, width_n, q))
-        built[n, k, m] = base, x
-    return base, x
+                    tuple(pivots))
+        # a class row ends in 1 and leads on a nonpivot of the base
+        v = _class_row(c, pivots, top, q)
+        lead = (v & -v).bit_length() - 1 >> sh
+        j = bisect_left(pivots, lead)
+        pivots.insert(j, lead)
+        packed.insert(j, v)
+        mask |= lane << (lead << sh)
+        if keep:
+            built[n, k, m] = (tuple(pivots), tuple(packed), mask), x
+    return (pivots, packed, mask), x
 
 
 def encode(params: CodecParams, m: int) -> CanonicalSubspace:
@@ -121,51 +133,64 @@ def encode(params: CodecParams, m: int) -> CanonicalSubspace:
     total = params.size
     if not 0 <= m < total:
         raise ValueError("index %d out of range [0, %d)" % (m, total))
-    return _encode(params.n, params.k, params.q, params.ctx, m)[0]
+    n, ctx = params.n, params.ctx
+    (pivots, packed, mask), _ = _encode(n, params.k, params.q, ctx, m)
+    unpack = _lanes(ctx).unpack
+    return CanonicalSubspace(ctx, n, tuple([unpack(v, n) for v in packed]),
+                             tuple(pivots), tuple(packed), mask)
 
 
 def _decode(W):
     """The index of W, re-wrapped by _check_input, in the (W.n, W.k) code;
-    the successor encodes of one decode share the levels they build in
-    built (see _encode)."""
-    n, k, ctx, built, levels = W.n, W.k, W.ctx, {}, []
+    the successor encodes of one decode start from snapshots of its walk
+    state and share the levels they build in built (see _encode)."""
+    n, k, ctx, levels = W.n, W.k, W.ctx, []
+    lanes = _lanes(ctx)
+    sh, lane = lanes.sh, lanes.mask
+    pivots, packed = list(W.pivots), list(_packed_rows(W))
+    mask = _pivot_mask(W)
     while 0 < k < n:
-        if not any(map(itemgetter(n - 1), W.rows)):
+        s = n - 1 << sh                     # column n-1 on, as no row
+        if not max(packed) >> s:            # reaches past it
             n -= 1                          # strip a zero column
             continue
         # the extending row is the one nonzero in column n-1
-        (j, v), *more = [(j, r) for j, r in enumerate(W.rows) if r[n - 1]]
-        base = _without_row(W, j)
-        if more or v[n - 1] != 1 or any(map(v.__getitem__, base.pivots)):
+        (j, v), *more = [(j, v) for j, v in enumerate(packed) if v >> s]
+        lead = pivots.pop(j)
+        mask ^= lane << (lead << sh)
+        if more or v >> s != 1 or v & mask:
             raise ValueError("not a canonical extension matrix")
-        levels.append((n, k, v, base))
-        W, n, k = base, n - 1, k - 1
-    q, index = ctx.q, 0
-    for n, k, v, base in reversed(levels):
+        levels.append((n, k, j, lead, packed.pop(j)))
+        n, k = n - 1, k - 1
+    q, index, built = ctx.q, 0, {}
+    for n, k, j, lead, v in reversed(levels):
         g2, width = gaussian_product_tree(n - 1, k - 1, q), q ** (n - k)
-        c = _row_class(v, base.pivots, n - 1, q)
+        c = _row_class(lanes.entries(v, n), pivots, n - 1, q)
         if g2 == 1:
             last = width - 1
         else:
-            succ, _ = _encode(n - 1, k - 1, q, ctx, (index + 1) % g2, W.n,
-                              built)
-            last, u = closing_class_index(base, succ)
-            # the successor encode one level up starts here, not below base
-            built.setdefault((n - 1, k - 1, index), (base, lambda u=u: u))
+            (_, succ, _), _ = _encode(n - 1, k - 1, q, ctx, (index + 1) % g2,
+                                      W.n, built)
+            last, r = _closing_row(lanes, pivots, packed, mask, succ, W.n)
+            # the successor encode one level up starts here
+            built.setdefault((n - 1, k - 1, index), (
+                (tuple(pivots), tuple(packed), mask), lambda u=succ[r]: u))
         jpos = class_position(last, width, c)
         index = gaussian_product_tree(n - 1, k, q) + (
             (width * index + jpos - 1) % (width * g2))
+        pivots.insert(j, lead)
+        packed.insert(j, v)
+        mask |= lane << (lead << sh)
     return index
 
 
-def _unit(n, i):
-    e = [0] * n
-    e[i] = 1
-    return e
+def _unit(q, i):
+    """e_i, packed."""
+    return 1 << (i << (3 if q <= 256 else 4))
 
 
 def _next_direction(q, n, k, top, i, jpos, width, last, pivots):
-    """A vector of length n spanning an item's successor modulo the item.
+    """A packed vector spanning an item's successor modulo the item.
 
     The item extends a base of W^(top-1), with these pivots, by the class
     at position jpos of block i, and the block closes with class last.
@@ -183,53 +208,55 @@ def _next_direction(q, n, k, top, i, jpos, width, last, pivots):
     """
     if i == 0 and jpos == 0:
         if top == n:
-            return _unit(n, k - 1)
-        return _class_row(1 if k == 1 else 2, range(k - 1), top + 1, n, q)
+            return _unit(q, k - 1)
+        return _class_row(1 if k == 1 else 2, range(k - 1), top + 1, q)
     if jpos == width - 1:
-        return _unit(n, top - 1)
+        return _unit(q, top - 1)
     return _class_row(class_at_position(last, width, jpos + 1), pivots, top,
-                      n, q)
+                      q)
 
 
 def _decode_fast(W):
     """(index, x): the index of W, re-wrapped by _check_input, in the
-    (W.n, W.k) code and, as in _encode, a function x() giving a vector
-    spanning the successor (item index+1, cyclically) modulo the item; the
-    mirror of _encode.
+    (W.n, W.k) code and, as in _encode, a function x() giving a packed
+    vector spanning the successor (item index+1, cyclically) modulo the
+    item; the mirror of _encode.
     """
-    n, k, q, x, rows, leads = W.n, W.k, W.ctx.q, None, W.rows, W.pivots
-    if k == 0 or k == n:
+    if W.k == 0 or W.k == W.n:
         return 0, None
+    q, lanes, packed = W.ctx.q, _lanes(W.ctx), _packed_rows(W)
+    sh, lane = lanes.sh, lanes.mask
     # each level's extending row is the one with the level's top, so the
-    # rows in descending order of top are the levels, top down; a level's
-    # base is the rows left once its row is removed
-    tops = [last_nonzero(r) + 1 for r in rows] + [0]    # 0: below the last
-    order = sorted(range(k), key=tops.__getitem__, reverse=True) + [k]
-    levels = []
-    for j, below in zip(order, order[1:]):
-        top = tops[j]
-        if top == k:
-            x = partial(_unit, n, k)
-            break
-        v = rows[j]
-        base = _without_row(W, bisect_left(W.pivots, leads[j]))
-        if (tops[below] == top or v[top - 1] != 1
-                or any(map(v.__getitem__, base.pivots))):
-            raise ValueError("not a canonical extension matrix")
-        levels.append((n, k, top, v, base))
-        W, n, k = base, top - 1, k - 1
-    index = 0
-    for n, k, top, v, base in reversed(levels):
-        pivots = base.pivots
-        c = _row_class(v, pivots, top - 1, q)
-        width, g2 = q ** (top - k), gaussian_product_tree(top - 1, k - 1, q)
-        # as in _encode, a lone block closes on width-1
-        last = _closing_class(base, x()) if g2 > 1 else width - 1
-        jpos = class_position(last, width, c)
-        i, index = index, gaussian_product_tree(top - 1, k, q) + (
-            (width * index + jpos - 1) % (width * g2))
-        x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
-                    pivots)
+    # rows in ascending order of top are the levels, bottom up, above a
+    # simple subspace: up to the last row k (from 1) whose top is k, the
+    # rows span W^k
+    rows = sorted(zip([(v.bit_length() - 1 >> sh) + 1 for v in packed],
+                      W.pivots, packed))
+    simple = max([k for k, row in enumerate(rows, 1) if row[0] == k],
+                 default=0)
+    rows.append((W.n + 1, None, None))      # above the top level
+    pivots, packed, mask, index, x = [], [], 0, 0, partial(_unit, q, simple)
+    for k, ((top, lead, v), (above, _, _)) in enumerate(
+            zip(rows, rows[1:]), 1):
+        n = above - 1               # the level above has top n + 1
+        if k > simple:
+            if n < top or v >> (top - 1 << sh) != 1 or v & mask:
+                raise ValueError("not a canonical extension matrix")
+            c = _row_class(lanes.entries(v, top), pivots, top - 1, q)
+            width = q ** (top - k)
+            g2 = gaussian_product_tree(top - 1, k - 1, q)
+            # as in _encode, a lone block closes on width-1
+            last = (_closing_class(lanes, pivots, packed, mask, x(), W.n)
+                    if g2 > 1 else width - 1)
+            jpos = class_position(last, width, c)
+            i, index = index, gaussian_product_tree(top - 1, k, q) + (
+                (width * index + jpos - 1) % (width * g2))
+            x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
+                        tuple(pivots))
+        j = bisect_left(pivots, lead)
+        pivots.insert(j, lead)
+        packed.insert(j, v)
+        mask |= lane << (lead << sh)
     return index, x
 
 

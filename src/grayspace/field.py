@@ -218,11 +218,7 @@ class FieldContext:
                                      self.modulus), bq)
 
         g = self._prim = _least_generator(q, power)
-        step = _ptrim(list(digits_of(g, bq, deg)))
-        cycle, cur = [1] * n, [1]
-        for i in range(1, n):
-            cur = _pmod(base, _pmul(base, step, cur), self.modulus)
-            cycle[i] = undigits(cur, bq)
+        cycle = self._powers(g)
         exp = cycle * 2 + [0] * (2 * n + 1)
         log = [2 * n] * q
         for i, a in enumerate(cycle):
@@ -260,6 +256,34 @@ class FieldContext:
         self.add = add
         self.sub = sub
         self.neg = lambda a: exp[log[a] + half]
+
+    def _powers(self, g):
+        """[g^0, ..., g^(q-2)], stepping by g through two tables.
+
+        An index's base-p digits are its coordinates over GF(p), so times
+        g is linear in them: g*a = t_lo[a % p^h] + t_hi[a // p^h], added
+        digit by digit mod p.  The tables hold radix r = 2p - 1 digits,
+        which sum without a carry; two more map each half back to radix p.
+        """
+        base, p, m, q, deg = self.base, self.p, self.m, self.q, self.degree
+        low, r, h, bq = p ** (m // 2), 2 * p - 1, m // 2, base.q
+        step = digits_of(g, bq, deg)
+
+        def times_g(a):         # g*a, its base-p digits read in radix r
+            a = _pmod(base, _pmul(base, step, digits_of(a, bq, deg)),
+                      self.modulus)
+            return undigits(digits_of(undigits(a, bq), p, m), r)
+        t_lo = [times_g(a) for a in range(low)]
+        t_hi = [times_g(low * a) for a in range(q // low)]
+        fix = [[0]]             # fix[d][s]: s's d radix-r digits mod p
+        for _ in range(m - h):
+            fix.append([d % p + p * e for e in fix[-1] for d in range(r)])
+        fix_lo, fix_hi, r_lo = fix[h], fix[m - h], r ** h
+        cycle, a = [1] * (q - 1), 1
+        for i in range(1, q - 1):
+            s = t_lo[a % low] + t_hi[a // low]
+            a = cycle[i] = fix_lo[s % r_lo] + low * fix_hi[s // r_lo]
+        return cycle
 
     # -- generic helpers ----------------------------------------------------
 

@@ -20,12 +20,14 @@ from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul
+from struct import pack
 
 from .field import FieldContext, field_from_order
-from .linalg import (CanonicalSubspace, contains, dual, extension_block,
+from .linalg import (CanonicalSubspace, _eliminate, _lanes, _packed_rows,
+                     _pivot_mask, contains, dual, extension_block,
                      grassmann_adjacent, intersect, is_simple, pack_subspace,
-                     projective_adjacent, reduce_vector, scale_vector,
-                     simple_subspace, format_subspace, parse_subspace)
+                     projective_adjacent, reduce_vector, simple_subspace,
+                     format_subspace, parse_subspace)
 from .qcombin import gaussian
 
 
@@ -60,7 +62,8 @@ class GraySequence:
 # digits, lowest first, on the base's nonpivot columns and 1 in column
 # top-1.  j is converted to or from its whole digit string at once (a
 # bytearray, its bytes for q = 256, a list for q > 256), which goes into
-# a row with a 0 at each of the base's pivots and comes out without them.
+# a packed row with a 0 at each of the base's pivots and comes out of a
+# row's entries without them.
 
 _TO_ALNUM = bytes.maketrans(bytes(range(36)),
                             b"0123456789abcdefghijklmnopqrstuvwxyz")
@@ -77,10 +80,11 @@ def _digit_table(q):
     return len(table), table
 
 
-def _class_row(c, pivots, top, n, q):
+def _class_row(c, pivots, top, q):
     """The representative of class c of a base with these sorted pivots,
-    in n columns: c's digits (by format for q = 2, 8, 16, bytes for 256,
-    else q^t at a time) on the nonpivots below top-1, 1 at top-1, 0 after."""
+    packed as linalg packs rows (byte lanes for q <= 256, else 16-bit):
+    c's digits (by format for q = 2, 8, 16, bytes for 256, else q^t at a
+    time) on the nonpivots below top-1, 1 at top-1, 0 after."""
     w = top - 1 - len(pivots)
     fmt = _FORMATS.get(q)
     if fmt:
@@ -99,8 +103,9 @@ def _class_row(c, pivots, top, n, q):
     for p in pivots:
         row.insert(p, 0)
     row.append(1)
-    row.extend(bytes(n - top))
-    return tuple(row)
+    if q > 256:
+        row = pack("<%dH" % top, *row)
+    return int.from_bytes(row, "little")
 
 
 def _row_class(v, pivots, stop, q):
@@ -145,25 +150,36 @@ def closing_class_index(base: CanonicalSubspace, succ: CanonicalSubspace):
     of succ outside base names the class, which is never 0 (the opening
     class); the last rows, most often the ones outside, are tried first.
     """
-    for u in reversed(succ.rows):
-        c = _closing_class(base, u)
+    c, j = _closing_row(_lanes(base.ctx), base.pivots, _packed_rows(base),
+                        _pivot_mask(base), _packed_rows(succ), base.n)
+    return c, succ.rows[j]
+
+
+def _closing_row(lanes, pivots, rows, mask, succ, n):
+    """closing_class_index on packed rows: (c, j) for the base with these
+    pivots, packed rows and pivot mask and the next base's packed rows
+    succ, c read off succ[j]."""
+    for j in range(len(succ) - 1, -1, -1):
+        c = _closing_class(lanes, pivots, rows, mask, succ[j], n)
         if c is not None:
-            return c, u
+            return c, j
     raise ValueError("successor base equals the current base")
 
 
-def _closing_class(base: CanonicalSubspace, x):
-    """The class x picks modulo base, or None when x lies in base: the
-    digits between base's pivots of x reduced against base (whose rows may
-    be longer than x if zero past it) and scaled to lead with 1."""
-    x = reduce_vector(base, x)
-    lead = next(filter(None, x), 0)     # x's leading entry
-    if not lead:
+def _closing_class(lanes, pivots, rows, mask, x, n):
+    """The class the packed vector x picks modulo a base, or None when x
+    lies in it: the digits between the base's pivots of x reduced against
+    it and scaled to lead with 1.  The base is given by its pivots, its
+    packed rows (in pivot order) and its pivot mask, as in a codec walk;
+    it and x are zero from lane n on."""
+    x = _eliminate(x, rows, mask, lanes, n)
+    if not x:
         return None
-    ctx = base.ctx
+    sh = lanes.sh
+    lead = x >> ((x & -x).bit_length() - 1 >> sh << sh) & lanes.mask
     if lead != 1:
-        x = scale_vector(ctx, x, ctx.inv(lead))
-    return _row_class(x, base.pivots, len(x), ctx.q)
+        x = lanes.scale(x, lanes.ctx.inv(lead), n)
+    return _row_class(lanes.entries(x, n), pivots, n, lanes.ctx.q)
 
 
 def block_class_order(base: CanonicalSubspace, succ, width: int):

@@ -45,16 +45,19 @@ longer than n past it, so rref, contains, canonicalize and parse_subspace
 reject both (_check_entries).
 
 A CanonicalSubspace keeps its packed rows in the `packed` slot (filled by
-canonicalize, dual and enumerate_subspaces) and the bits of its pivot
-lanes in `pivot_mask` (filled by canonicalize and simple_subspace), each
-else built on first use; tuples stay the form of every result and of the
-file format.  pack_subspace keys a subspace by its packed rows.  The codes
-are built n wide: a subspace of W^top is kept in all n columns, zero from
-column top on, so no level pads its items.  extend_subspace and
-extension_block, which add one row, and _without_row, which removes one
-for both decoders, pass on the ints the two subspaces share and set or
-clear the row's lane in the mask.  No other module reads or builds
-packed ints.
+canonicalize, dual, enumerate_subspaces and the codec's encode) and the
+bits of its pivot lanes in `pivot_mask` (filled by canonicalize,
+simple_subspace and encode), each else built on first use; tuples stay
+the form of every result and of the file format.  pack_subspace keys a
+subspace by its packed rows.  The codes are built n wide: a subspace of
+W^top is kept in all n columns, zero from column top on, so no level pads
+its items.  extension_block, which adds one row, passes on the ints its
+items share and sets the row's lane in the mask.  Two other modules use
+packed rows: grassmann_gray's class helpers build a class representative
+packed (_class_row) and read a class off a packed vector
+(_closing_class), and the codec's walks keep the item they are at as a
+walk state of pivots, packed rows and pivot mask, changed in place from
+level to level (codec.py).
 """
 
 from __future__ import annotations
@@ -130,11 +133,16 @@ class _Lanes(dict):
             return int.from_bytes(bytearray(row), "little")
         return int.from_bytes(pack("<%dH" % len(row), *row), "little")
 
-    def unpack(self, x: int, n: int) -> tuple:
-        """The first n entries of the packed row x."""
+    def entries(self, x: int, n: int):
+        """The first n entries of the packed row x: bytes for byte lanes,
+        else a tuple."""
         if self.sh == 3:
-            return tuple(x.to_bytes(n, "little"))
+            return x.to_bytes(n, "little")
         return unpack("<%dH" % n, x.to_bytes(2 * n, "little"))
+
+    def unpack(self, x: int, n: int) -> tuple:
+        """The first n entries of the packed row x, as a tuple."""
+        return tuple(self.entries(x, n))
 
     def scale(self, x: int, f: int, n: int) -> int:
         """f times the packed row x of n lanes."""
@@ -195,13 +203,6 @@ def rref(rows, n: int, ctx: FieldContext):
 def leading_column(row) -> int:
     """Column of row's first nonzero entry; len(row) for a zero row."""
     return next(compress(count(), row), len(row))
-
-
-def last_nonzero(row) -> int:
-    """Column of row's last nonzero entry; -1 for a zero row."""
-    if row and row[-1]:
-        return len(row) - 1
-    return len(row) - 1 - next(compress(count(), reversed(row)), len(row))
 
 
 def _rref(rows, n: int, lanes: _Lanes):
@@ -500,48 +501,6 @@ def projective_adjacent(a: CanonicalSubspace, b: CanonicalSubspace) -> bool:
     return hi.k - lo.k == 1 and stacked_rank(hi, lo) == hi.k
 
 
-def scale_vector(ctx: FieldContext, v, f: int):
-    """f times the vector v, as a tuple: one translate for q <= 256."""
-    if ctx.q <= 256:
-        return tuple(bytes(v).translate(_lanes(ctx)[f]))
-    mul = ctx.mul
-    return tuple([mul(f, x) for x in v])
-
-
-def extend_subspace(base: CanonicalSubspace, v) -> CanonicalSubspace:
-    """Canonical form of base + span(v) for v already reduced against base.
-
-    v must be zero on base's pivot columns and independent of it; the new
-    row slots between existing rows by its leading column.
-    """
-    lead = leading_column(v)
-    if lead == len(v) or any(map(v.__getitem__, base.pivots)):
-        raise ValueError("vector must be reduced against the base and nonzero")
-    ctx = base.ctx
-    if ctx.q != 2:      # over GF(2) every nonzero entry is already 1
-        trail = last_nonzero(v)
-        if v[trail] != 1:
-            v = scale_vector(ctx, v, ctx.inv(v[trail]))
-    v = tuple(v)
-    pos = bisect_left(base.pivots, lead)
-    rows = base.rows[:pos] + (v,) + base.rows[pos:]
-    pivots = base.pivots[:pos] + (lead,) + base.pivots[pos:]
-    packed, mask, lanes = base.packed, base.pivot_mask, _lanes(ctx)
-    if packed is not None:
-        packed = packed[:pos] + (lanes.pack(v),) + packed[pos:]
-    if mask is not None:
-        mask |= lanes.mask << (lead << lanes.sh)
-    return CanonicalSubspace(ctx, base.n, rows, pivots, packed, mask)
-
-
-def _without_row(a: CanonicalSubspace, j: int) -> CanonicalSubspace:
-    """a's rows but row j, with its pivot, packed row and mask lane cut."""
-    lanes = _lanes(a.ctx)
-    mask = _pivot_mask(a) ^ lanes.mask << (a.pivots[j] << lanes.sh)
-    return CanonicalSubspace(a.ctx, a.n, *[t[:j] + t[j + 1:] for t in (
-        a.rows, a.pivots, _packed_rows(a))], mask)
-
-
 def extension_block(base: CanonicalSubspace, top: int, classes):
     """Yield base + span(v_c) for each class c of classes, in order.
 
@@ -639,10 +598,16 @@ def pack_subspace(a: CanonicalSubspace) -> tuple:
 # first line "k n q", then k rows of n element indices.
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def format_subspace(a: CanonicalSubspace) -> str:
     lines = ["%d %d %d" % (a.k, a.n, a.ctx.q)]
-    for row in a.rows:
-        lines.append(" ".join(str(x) for x in row))
+    if a.ctx.q <= 10:       # one-digit entries: one translate per row
+        lines += [" ".join(bytes(row).translate(_DIGITS).decode())
+                  for row in a.rows]
+    else:
+        lines += [" ".join(map(str, row)) for row in a.rows]
     return "\n".join(lines)
 
 

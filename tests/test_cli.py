@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 
@@ -317,6 +318,27 @@ def test_counts_above_the_digit_cap(capsys):
     assert big_int(neighbors) == report.neighbor_count
     assert big_int(middle) == report.middle_count
     assert big_int(deficit.split("=")[1]) == report.deficit
+
+
+def test_decimal_is_str():
+    # below, at and past the split sizes, up to 200k digits; the
+    # interpreter's digit cap does not apply to cli's helper
+    rng = random.Random(28)
+    cap = digit_cap()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for digits in (1, 2, 9, 4300, 9864, 9865, 12345, 40000, 200000):
+            for m in (10 ** (digits - 1), 10 ** digits - 1,
+                      rng.randrange(10 ** (digits - 1), 10 ** digits)):
+                assert cli._decimal(m) == str(m), digits
+        for bits in (1 << 15, (1 << 15) + 1, 1 << 16, 4096 << 5):
+            for m in ((1 << bits) - 1, 1 << bits - 1,
+                      rng.getrandbits(bits)):
+                assert cli._decimal(m) == str(m), bits
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def test_non_integer_index_is_not_an_integer(capsys):

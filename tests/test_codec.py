@@ -13,6 +13,7 @@ from grayspace.grassmann_gray import (GraySequence, _closing_class,
                                       closing_class_index, iter_simple,
                                       verify_gray)
 from grayspace.qcombin import gaussian
+from oracles import last_nonzero
 
 F2 = make_field(2, 1)
 
@@ -261,25 +262,55 @@ def test_reference_decode_deeper_than_the_stack_limit():
     assert decode(params, sub) == decode_fast(params, sub) == m
 
 
-def test_decode_fast_builds_no_level(monkeypatch):
-    # each level's base is the input's rows left once the level's row is
-    # removed, so decode_fast neither starts from a simple subspace nor
-    # extends one
+def _spy_on_subspaces(monkeypatch):
+    """A list that gains an entry for every CanonicalSubspace made, by
+    the codec or by linalg, until monkeypatch undoes the spy."""
     import grayspace.codec as codec_module
+    made = []
+
+    class Spy(L.CanonicalSubspace):
+        def __init__(self, *args):
+            made.append(args[2])
+            super().__init__(*args)
+    for module in (codec_module, L):
+        monkeypatch.setattr(module, "CanonicalSubspace", Spy)
+    return made
+
+
+def _spy_cases():
     cases = []
-    for (n, k, q) in [(128, 32, 2), (256, 4, 3)]:
+    for (n, k, q) in [(128, 32, 2), (256, 4, 3), (12, 5, 9), (9, 4, 257)]:
         params = CodecParams(n, k, field_from_order(q))
         rng = random.Random(26)
         for m in [0, 1, params.size - 1] + [rng.randrange(params.size)
                                             for _ in range(4)]:
             cases.append((params, m, encode(params, m)))
+    return cases
 
-    def refuse(*args):
-        raise AssertionError("decode_fast built a level")
-    for name in ("simple_subspace", "extend_subspace"):
-        monkeypatch.setattr(codec_module, name, refuse)
+
+def test_decode_fast_builds_no_level(monkeypatch):
+    # each level's base is the input's rows below the level, which the
+    # walk state gathers in place (decode_fast inserts them, the reference
+    # pops and puts them back), so the decoders build no subspace but the
+    # input's re-wrap in _check_input
+    cases = _spy_cases()
+    made = _spy_on_subspaces(monkeypatch)
     for params, m, sub in cases:
-        assert decode_fast(params, sub) == m
+        for fn in (decode_fast, decode):
+            made.clear()
+            assert fn(params, sub) == m
+            assert made == [sub.rows], (fn.__name__, params, m)
+
+
+def test_encode_builds_one_canonical_subspace(monkeypatch):
+    # the walk state goes from level to level in place; encode wraps it
+    # once, at the end
+    cases = _spy_cases()
+    made = _spy_on_subspaces(monkeypatch)
+    for params, m, sub in cases:
+        made.clear()
+        assert encode(params, m).rows == sub.rows
+        assert made == [sub.rows], (params, m)
 
 
 def test_reference_decode_keeps_no_state_between_calls():
@@ -305,30 +336,54 @@ def test_reference_decode_keeps_no_state_between_calls():
 def _extension_levels(sub, k):
     """The levels of sub's canonical matrix above its simple subspace: a
     level's row, in descending order of top, has top > the level's k."""
-    tops = sorted((L.last_nonzero(r) + 1 for r in sub.rows), reverse=True)
+    tops = sorted((last_nonzero(r) + 1 for r in sub.rows), reverse=True)
     return next((d for d, top in enumerate(tops) if top == k - d), k)
 
 
 def test_reference_decode_builds_o_k_levels(monkeypatch):
-    # each successor encode starts from the decode's own base and closing
-    # row, or from a level an earlier encode of the same decode built, and
-    # builds one level; re-encoding every successor in full makes about 16
-    # extend_subspace calls per level, and rebuilding each successor's base
-    # about 2
+    # each successor encode starts from a snapshot of the decode's own base
+    # and closing row, or from a level an earlier encode of the same decode
+    # built, and builds one level, which it puts into the decode's built;
+    # re-encoding every successor in full builds about 16 levels per level,
+    # and rebuilding each successor's base about 2
     import grayspace.codec as codec_module
-    calls = []
-    real = codec_module.extend_subspace
-    monkeypatch.setattr(codec_module, "extend_subspace",
-                        lambda base, v: calls.append(1) or real(base, v))
+    levels_built = []
+    real = codec_module._encode
+
+    def counted(n, k, q, ctx, m, width_n=None, built=None):
+        before = len(built or ())
+        out = real(n, k, q, ctx, m, width_n, built)
+        levels_built.append(len(built or ()) - before)
+        return out
+    monkeypatch.setattr(codec_module, "_encode", counted)
     params = CodecParams(128, 32, F2)
     rng = random.Random(24)
     for m in [rng.randrange(params.size) for _ in range(3)]:
         sub = encode(params, m)
         levels = _extension_levels(sub, params.k)
         assert levels > 16
-        calls.clear()
+        levels_built.clear()
         assert decode(params, sub) == m
-        assert 0 < len(calls) <= levels, (len(calls), levels)
+        assert 0 < sum(levels_built) <= levels, (levels_built, levels)
+
+
+def test_entry_wise_fields_round_trip():
+    # the fields whose rows add entry by entry, which no benchmark cell
+    # reaches, take the same walk: _eliminate unpacks their vectors, and
+    # q = 257 has 16-bit lanes; code boundaries and seeded indices
+    rng = random.Random(27)
+    for (n, k, q) in [(12, 5, 9), (10, 5, 27), (9, 4, 131), (9, 4, 257)]:
+        params = CodecParams(n, k, field_from_order(q))
+        total, deepest = params.size, 0
+        for m in [0, 1, total - 2, total - 1] + [rng.randrange(total)
+                                                 for _ in range(6)]:
+            W = encode(params, m)
+            C = L.canonicalize(W.rows, n, params.ctx)
+            assert (W.rows, W.pivots, W.packed, W.pivot_mask) == (
+                C.rows, C.pivots, C.packed, C.pivot_mask), (q, m)
+            assert decode(params, W) == decode_fast(params, W) == m, (q, m)
+            deepest = max(deepest, _extension_levels(W, k))
+        assert deepest >= 4, q
 
 
 def test_round_trip_at_prime_field_above_256():
@@ -355,12 +410,15 @@ def test_decode_fast_successor_direction():
                       (4, 1, 3), (3, 2, 4), (4, 2, 4)]:
         ctx = field_from_order(q)
         items = list(iter_simple(n, k, ctx))
+        lanes = L._lanes(ctx)
         for m, (cur, nxt) in enumerate(zip(items, items[1:] + items[:1])):
             index, x = _decode_fast(cur)
-            item, y = _encode(n, k, q, ctx, m)
-            assert index == m and item == cur
+            state, y = _encode(n, k, q, ctx, m)
+            walk = (list(cur.pivots), list(L._packed_rows(cur)),
+                    L._pivot_mask(cur))
+            assert index == m and state == walk
             for direction in (x(), y()):
-                assert (_closing_class(cur, direction)
+                assert (_closing_class(lanes, *walk, direction, n)
                         == closing_class_index(cur, nxt)[0]), (n, k, q, m)
 
 

@@ -203,3 +203,25 @@ def test_extension_ops_match_polynomial_oracle():
         # the least element of multiplicative order q - 1, by brute force
         orders = [order(a) for a in range(1, ctx.primitive_index() + 1)]
         assert orders[-1] == q - 1 and q - 1 not in orders[:-1]
+
+
+def test_power_tables_match_the_generic_walk():
+    # the exp table is g^0..g^(q-2) twice and log its inverse, so both
+    # equal the generic walk's when the powers do; towers included, whose
+    # indices are digits of digits
+    fields = [make_field(2, 8), make_field(3, 5), make_field(5, 3),
+              extend_field(make_field(2, 2), 3),
+              extend_field(make_field(3, 2), 2)]
+    for ctx in fields:
+        base, q, g = ctx.base, ctx.q, ctx.primitive_index()
+        step = list(digits_of(g, base.q, ctx.degree))
+        walk, cur = [1], [1]
+        for _ in range(q - 2):
+            cur = _pmod(base, _pmul(base, step, cur), ctx.modulus)
+            walk.append(undigits(cur, base.q))
+        assert ctx._powers(g) == walk, ctx
+        log = {a: i for i, a in enumerate(walk)}
+        assert len(log) == q - 1
+        for a in walk[::7]:
+            assert ctx.mul(a, g) == walk[(log[a] + 1) % (q - 1)]
+            assert ctx.inv(a) == walk[-log[a] % (q - 1)]

@@ -20,6 +20,7 @@ from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
                                       verify_gray, write_gray_file)
 from grayspace.codec import CodecParams, encode
 from grayspace.qcombin import count_lower_bound, gaussian
+from oracles import extend_subspace, unpack_row
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -114,7 +115,7 @@ def _draw_class(data, q, w, rng):
 def test_class_row_and_row_class_match_the_digit_loops(data):
     q, pivots, top, n, nonpiv, rng = _draw_radix_case(data)
     j = _draw_class(data, q, len(nonpiv), rng)
-    row = _class_row(j, pivots, top, n, q)
+    row = unpack_row(_class_row(j, pivots, top, q), n, q)
     assert row == (tuple(oracle_rep_vector(q, top, nonpiv, j))
                    + (0,) * (n - top))
     assert _row_class(row, pivots, top - 1, q) == j
@@ -122,7 +123,7 @@ def test_class_row_and_row_class_match_the_digit_loops(data):
     v = [rng.randrange(q) for _ in range(n)]
     c = _row_class(v, pivots, top - 1, q)
     assert c == oracle_class_digits(v, nonpiv, q)
-    back = _class_row(c, pivots, top, n, q)
+    back = unpack_row(_class_row(c, pivots, top, q), n, q)
     assert [back[r] for r in nonpiv] == [v[r] for r in nonpiv]
 
 
@@ -135,8 +136,9 @@ def test_class_row_differences_match_the_class_step(data):
     ctx = field_from_order(q)
     a = _draw_class(data, q, len(nonpiv), rng)
     b = _draw_class(data, q, len(nonpiv), rng)
-    step = [ctx.sub(y, x) for x, y in zip(_class_row(a, pivots, top, n, q),
-                                          _class_row(b, pivots, top, n, q))]
+    step = [ctx.sub(y, x) for x, y in zip(
+        unpack_row(_class_row(a, pivots, top, q), n, q),
+        unpack_row(_class_row(b, pivots, top, q), n, q))]
     assert step == oracle_class_step(ctx.sub, q, nonpiv, n, a, b)
 
 
@@ -358,6 +360,13 @@ def test_class_distinctness_across_bases():
                 exts.add(padded)
 
 
+def closing_class(base, x):
+    """_closing_class of the vector x modulo base, on their packed rows."""
+    lanes = L._lanes(base.ctx)
+    return _closing_class(lanes, base.pivots, L._packed_rows(base),
+                          L._pivot_mask(base), lanes.pack(x), base.n)
+
+
 def test_closing_class_from_direction_matches_reference():
     # every vector of succ + base outside base names the reference's class;
     # scaling by alpha != 1 (q > 2) exercises the normalization
@@ -378,11 +387,11 @@ def test_closing_class_from_direction_matches_reference():
             for u in outside:
                 for alpha in range(1, q):
                     x = [ctx.mul(alpha, t) for t in u]
-                    assert _closing_class(base, x) == want
+                    assert closing_class(base, x) == want
                 x = [ctx.add(s, t) for s, t in zip(u, base.rows[0])]
-                assert _closing_class(base, x) == want
+                assert closing_class(base, x) == want
             # a direction inside the base picks no class
-            assert _closing_class(base, base.rows[-1]) is None
+            assert closing_class(base, base.rows[-1]) is None
 
 
 def span_vectors(a):
@@ -453,8 +462,8 @@ def oracle_block(base, classes):
     then extend_subspace."""
     ext = pad(base)
     nonpiv = _nonpivot_columns(base)
-    return [L.extend_subspace(ext, oracle_rep_vector(base.ctx.q, ext.n, nonpiv,
-                                                     c))
+    return [extend_subspace(ext, oracle_rep_vector(base.ctx.q, ext.n, nonpiv,
+                                                   c))
             for c in classes]
 
 

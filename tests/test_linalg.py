@@ -9,6 +9,7 @@ from grayspace import codec, grassmann_gray
 from grayspace.field import field_from_order, make_field
 from grayspace import linalg as L
 from grayspace.qcombin import gaussian
+from oracles import extend_subspace, last_nonzero, unpack_row
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -107,7 +108,6 @@ def test_row_scans():
     for row in rows + [list(r) for r in rows]:
         nonzero = [j for j, x in enumerate(row) if x]
         assert L.leading_column(row) == (nonzero or [len(row)])[0]
-        assert L.last_nonzero(row) == (nonzero or [-1])[-1]
 
 
 def test_sum_intersection_dimension_formula():
@@ -180,7 +180,7 @@ def test_extend_subspace_matches_canonicalize():
             if c not in base.pivots:
                 v[c] = rng.randrange(ctx.q)
         padded = L.CanonicalSubspace(ctx, n, tuple(ext_rows), base.pivots)
-        got = L.extend_subspace(padded, v)
+        got = extend_subspace(padded, v)
         want = L.canonicalize(list(ext_rows) + [tuple(v)], n, ctx)
         assert got == want
 
@@ -491,8 +491,6 @@ def test_lane_kernels_match_oracles(case):
     assert L.contains(a, v) == (len(_column_rref(a.rows + (v,), n, ctx)[0])
                                 == a.k)
     assert L.reduce_vector(a, v) == _tuple_reduce(a, v)
-    for f in {1, ctx.q - 1, v[0]}:
-        assert L.scale_vector(ctx, v, f) == tuple(ctx.mul(f, x) for x in v)
     assert (L.pack_subspace(a) == L.pack_subspace(b)) == (a == b)
     assert same == a and L.pack_subspace(same) == L.pack_subspace(a)
     # a subspace made from rows alone, with no packed rows yet
@@ -514,12 +512,12 @@ def test_packed_rows_carry_through_derived_subspaces(case):
     assert a.packed == _packing_of(a)
     x = L.reduce_vector(a, v)
     if any(x):
-        ext = L.extend_subspace(a, x)
-        assert ext.packed == _packing_of(ext)
-        trail = L.last_nonzero(x)
+        ext = extend_subspace(a, x)
+        trail = last_nonzero(x)
         f = ctx.inv(x[trail])
         assert tuple(ctx.mul(f, e) for e in x) in ext.rows
         assert L.stacked_rank(ext, ext) == a.k + 1
+        assert ext.packed == _packing_of(ext)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=110)
@@ -530,22 +528,27 @@ def test_packed_rows_at_every_codec_level(data):
     k = data.draw(st.integers(1, min(n - 1, 16 if ctx.q == 2 else 6)))
     params = codec.CodecParams(n, k, ctx)
     m = data.draw(st.integers(0, params.size - 1))
-    reduce_vector = grassmann_gray.reduce_vector
+    eliminate = grassmann_gray._eliminate
     bases = []
 
-    def reduce_checked(base, x):
-        # every base the codec reduces against: the ones encode and
-        # decode_fast grow level by level and the reference decode's
-        # stripped ones; packed ints appear on first use and carry over
-        assert base.pivots == tuple(map(L.leading_column, base.rows))
-        assert base.packed in (None, _packing_of(base))
-        assert base.pivot_mask in (None, _mask_of(base))
-        out = reduce_vector(base, x)
-        assert out == _tuple_reduce(base, x)
+    def eliminate_checked(x, rows, mask, lanes, width):
+        # every walk state the codec reduces against: the ones encode and
+        # decode_fast change level by level and the reference decode's
+        # stripped ones and successor encodes; each is an echelon basis in
+        # pivot order with the mask of its pivot lanes
+        rows = tuple(rows)
+        base = L.CanonicalSubspace(ctx, width, tuple(
+            unpack_row(r, width, ctx.q) for r in rows), None)
+        base.pivots = tuple(map(L.leading_column, base.rows))
+        assert list(base.pivots) == sorted(set(base.pivots))
+        assert rows == _packing_of(base) and mask == _mask_of(base)
+        out = eliminate(x, rows, mask, lanes, width)
+        assert unpack_row(out, width, ctx.q) == tuple(_tuple_reduce(
+            base, unpack_row(x, width, ctx.q)))
         bases.append(base)
         return out
 
-    with mock.patch.object(grassmann_gray, "reduce_vector", reduce_checked):
+    with mock.patch.object(grassmann_gray, "_eliminate", eliminate_checked):
         W = codec.encode(params, m)
         assert codec.decode_fast(params, W) == m
         assert codec.decode(params, W) == m
@@ -557,10 +560,9 @@ def test_packed_rows_at_every_codec_level(data):
 
 def _mask_carrying_bases(rng, ctx):
     """(path, base) over GF(q)^n, n <= 32, for every way a subspace gets
-    its pivot mask: filled by simple_subspace and canonicalize, set by
-    extend_subspace and extension_block, cleared by the reference decode's
-    row removal, and built on first use for rows alone (which
-    extend_subspace then leaves unbuilt)."""
+    its pivot mask: filled by simple_subspace, canonicalize and encode
+    (whose walk sets and clears lanes in place), set by extension_block,
+    and built on first use for rows alone."""
     q = ctx.q
     n = rng.randint(2, 32)
     k = rng.randint(1, min(n - 1, 8))
@@ -572,11 +574,6 @@ def _mask_carrying_bases(rng, ctx):
     bare = L.CanonicalSubspace(ctx, n, canon.rows, canon.pivots)
     yield "canonicalize", canon
     yield "simple_subspace", simple
-    for base in (simple, canon, L.CanonicalSubspace(ctx, n, canon.rows,
-                                                    canon.pivots)):
-        x = L.reduce_vector(base, [rng.randrange(q) for _ in range(n)])
-        if any(x):
-            yield "extend_subspace", L.extend_subspace(base, x)
     top = rng.randrange(k - 1, n)
     base = L.canonicalize([r[:top] + [0] * (n - top) for r in rows[:k - 1]]
                           + [[0] * n], n, ctx)
@@ -584,8 +581,8 @@ def _mask_carrying_bases(rng, ctx):
     classes = sorted(rng.sample(range(width), min(width, 3)))
     for item in L.extension_block(base, top, classes):
         yield "extension_block", item
-    for j in range(canon.k):
-        yield "_without_row", L._without_row(canon, j)
+    params = codec.CodecParams(n, k, ctx)
+    yield "encode", codec.encode(params, rng.randrange(params.size))
     yield "rows alone", bare
 
 
@@ -620,7 +617,7 @@ def test_carried_pivot_masks_reduce_as_the_oracle(seed):
                 # (entry-wise ones reduce unpacked), by a rank over any
                 assert base.pivot_mask == _mask_of(base)
         assert {"canonicalize", "simple_subspace", "extension_block",
-                "_without_row", "rows alone"} <= paths, (q, paths)
+                "encode", "rows alone"} <= paths, (q, paths)
 
 
 def test_entries_outside_the_field_are_rejected():
@@ -689,7 +686,7 @@ def adjacency_pairs(draw):
             top = rng.randrange(t, n)
             v = [rng.randrange(ctx.q) for _ in range(top)]
             v += [rng.randrange(1, ctx.q)] + [0] * (n - 1 - top)
-            return L.extend_subspace(base, L.reduce_vector(base, v))
+            return extend_subspace(base, L.reduce_vector(base, v))
 
         return extension(), extension()
     a = L.canonicalize(random_rows(rng, n, k, ctx), n, ctx)
