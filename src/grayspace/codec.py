@@ -38,16 +38,15 @@ and the command line use decode_fast.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from operator import ge
 
 from .field import FieldContext
 from .grassmann_gray import (class_at_position, class_position, _class_row,
-                             _closing_class, _closing_row, _row_class)
+                             _closing_class, _row_class, closing_class_index)
 from .linalg import (CanonicalSubspace, _check_entries, _lanes, _packed_rows,
-                     _pivot_mask, dual, leading_column)
+                     _pivot_mask, _put, dual, leading_column)
 from .qcombin import gaussian, gaussian_product_tree
 
 
@@ -82,7 +81,7 @@ def _encode(n, k, q, ctx, m, width_n=None, built=None):
     """
     width_n, keep, x = width_n or n, built is not None, None
     built, lanes = built if keep else {}, _lanes(ctx)
-    sh, lane = lanes.sh, lanes.mask
+    sh = lanes.sh
     # top-down: each level's base is item i of the (top-1, k-1) code
     levels = []
     while 0 < k < n and (n, k, m) not in built:
@@ -93,7 +92,7 @@ def _encode(n, k, q, ctx, m, width_n=None, built=None):
             top -= 1
             g1 = gaussian_product_tree(top - 1, k, q)
         if top == k:
-            x = partial(_unit, q, k)
+            x = partial(_unit, lanes, k)
             break
         width = q ** (top - k)
         g2 = gaussian_product_tree(top - 1, k - 1, q)
@@ -112,15 +111,11 @@ def _encode(n, k, q, ctx, m, width_n=None, built=None):
         last = (_closing_class(lanes, pivots, packed, mask, x(), width_n)
                 if g2 > 1 else width - 1)
         c = class_at_position(last, width, jpos)
-        x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
+        x = partial(_next_direction, lanes, n, k, top, i, jpos, width, last,
                     tuple(pivots))
         # a class row ends in 1 and leads on a nonpivot of the base
-        v = _class_row(c, pivots, top, q)
-        lead = (v & -v).bit_length() - 1 >> sh
-        j = bisect_left(pivots, lead)
-        pivots.insert(j, lead)
-        packed.insert(j, v)
-        mask |= lane << (lead << sh)
+        mask = _put(lanes.pack(_class_row(c, pivots, top, q)), pivots, packed,
+                    mask, lanes)
         if keep:
             built[n, k, m] = (tuple(pivots), tuple(packed), mask), x
     return (pivots, packed, mask), x
@@ -156,14 +151,13 @@ def _decode(W):
             continue
         # the extending row is the one nonzero in column n-1
         (j, v), *more = [(j, v) for j, v in enumerate(packed) if v >> s]
-        lead = pivots.pop(j)
-        mask ^= lane << (lead << sh)
+        mask ^= lane << (pivots.pop(j) << sh)
         if more or v >> s != 1 or v & mask:
             raise ValueError("not a canonical extension matrix")
-        levels.append((n, k, j, lead, packed.pop(j)))
+        levels.append((n, k, packed.pop(j)))
         n, k = n - 1, k - 1
     q, index, built = ctx.q, 0, {}
-    for n, k, j, lead, v in reversed(levels):
+    for n, k, v in reversed(levels):
         g2, width = gaussian_product_tree(n - 1, k - 1, q), q ** (n - k)
         c = _row_class(lanes.entries(v, n), pivots, n - 1, q)
         if g2 == 1:
@@ -171,25 +165,24 @@ def _decode(W):
         else:
             (_, succ, _), _ = _encode(n - 1, k - 1, q, ctx, (index + 1) % g2,
                                       W.n, built)
-            last, r = _closing_row(lanes, pivots, packed, mask, succ, W.n)
+            last, u = closing_class_index((pivots, packed, mask), succ, lanes,
+                                          W.n)
             # the successor encode one level up starts here
             built.setdefault((n - 1, k - 1, index), (
-                (tuple(pivots), tuple(packed), mask), lambda u=succ[r]: u))
+                (tuple(pivots), tuple(packed), mask), lambda u=u: u))
         jpos = class_position(last, width, c)
         index = gaussian_product_tree(n - 1, k, q) + (
             (width * index + jpos - 1) % (width * g2))
-        pivots.insert(j, lead)
-        packed.insert(j, v)
-        mask |= lane << (lead << sh)
+        mask = _put(v, pivots, packed, mask, lanes)
     return index
 
 
-def _unit(q, i):
+def _unit(lanes, i):
     """e_i, packed."""
-    return 1 << (i << (3 if q <= 256 else 4))
+    return 1 << (i << lanes.sh)
 
 
-def _next_direction(q, n, k, top, i, jpos, width, last, pivots):
+def _next_direction(lanes, n, k, top, i, jpos, width, last, pivots):
     """A packed vector spanning an item's successor modulo the item.
 
     The item extends a base of W^(top-1), with these pivots, by the class
@@ -208,12 +201,13 @@ def _next_direction(q, n, k, top, i, jpos, width, last, pivots):
     """
     if i == 0 and jpos == 0:
         if top == n:
-            return _unit(q, k - 1)
-        return _class_row(1 if k == 1 else 2, range(k - 1), top + 1, q)
-    if jpos == width - 1:
-        return _unit(q, top - 1)
-    return _class_row(class_at_position(last, width, jpos + 1), pivots, top,
-                      q)
+            return _unit(lanes, k - 1)
+        c, pivots, top = 1 if k == 1 else 2, range(k - 1), top + 1
+    elif jpos == width - 1:
+        return _unit(lanes, top - 1)
+    else:
+        c = class_at_position(last, width, jpos + 1)
+    return lanes.pack(_class_row(c, pivots, top, lanes.ctx.q))
 
 
 def _decode_fast(W):
@@ -224,23 +218,22 @@ def _decode_fast(W):
     """
     if W.k == 0 or W.k == W.n:
         return 0, None
-    q, lanes, packed = W.ctx.q, _lanes(W.ctx), _packed_rows(W)
-    sh, lane = lanes.sh, lanes.mask
+    q, lanes = W.ctx.q, _lanes(W.ctx)
     # each level's extending row is the one with the level's top, so the
     # rows in ascending order of top are the levels, bottom up, above a
     # simple subspace: up to the last row k (from 1) whose top is k, the
     # rows span W^k
-    rows = sorted(zip([(v.bit_length() - 1 >> sh) + 1 for v in packed],
-                      W.pivots, packed))
-    simple = max([k for k, row in enumerate(rows, 1) if row[0] == k],
+    rows = sorted([((v.bit_length() - 1 >> lanes.sh) + 1, v)
+                   for v in _packed_rows(W)])
+    simple = max([k for k, (top, _) in enumerate(rows, 1) if top == k],
                  default=0)
-    rows.append((W.n + 1, None, None))      # above the top level
-    pivots, packed, mask, index, x = [], [], 0, 0, partial(_unit, q, simple)
-    for k, ((top, lead, v), (above, _, _)) in enumerate(
-            zip(rows, rows[1:]), 1):
+    rows.append((W.n + 1, None))            # above the top level
+    pivots, packed, mask, index = [], [], 0, 0
+    x = partial(_unit, lanes, simple)
+    for k, ((top, v), (above, _)) in enumerate(zip(rows, rows[1:]), 1):
         n = above - 1               # the level above has top n + 1
         if k > simple:
-            if n < top or v >> (top - 1 << sh) != 1 or v & mask:
+            if n < top or v >> (top - 1 << lanes.sh) != 1 or v & mask:
                 raise ValueError("not a canonical extension matrix")
             c = _row_class(lanes.entries(v, top), pivots, top - 1, q)
             width = q ** (top - k)
@@ -251,12 +244,9 @@ def _decode_fast(W):
             jpos = class_position(last, width, c)
             i, index = index, gaussian_product_tree(top - 1, k, q) + (
                 (width * index + jpos - 1) % (width * g2))
-            x = partial(_next_direction, q, n, k, top, i, jpos, width, last,
-                        tuple(pivots))
-        j = bisect_left(pivots, lead)
-        pivots.insert(j, lead)
-        packed.insert(j, v)
-        mask |= lane << (lead << sh)
+            x = partial(_next_direction, lanes, n, k, top, i, jpos, width,
+                        last, tuple(pivots))
+        mask = _put(v, pivots, packed, mask, lanes)
     return index, x
 
 

@@ -275,14 +275,13 @@ class FieldContext:
             return undigits(digits_of(undigits(a, bq), p, m), r)
         t_lo = [times_g(a) for a in range(low)]
         t_hi = [times_g(low * a) for a in range(q // low)]
-        fix = [[0]]             # fix[d][s]: s's d radix-r digits mod p
-        for _ in range(m - h):
-            fix.append([d % p + p * e for e in fix[-1] for d in range(r)])
-        fix_lo, fix_hi, r_lo = fix[h], fix[m - h], r ** h
-        cycle, a = [1] * (q - 1), 1
+        fix = [0]               # fix[s]: s's radix-r digits mod p, in radix p
+        for _ in range(m - h):  # m - h >= h digits serve both halves
+            fix = [d % p + p * e for e in fix for d in range(r)]
+        cycle, a, r_lo = [1] * (q - 1), 1, r ** h
         for i in range(1, q - 1):
             s = t_lo[a % low] + t_hi[a // low]
-            a = cycle[i] = fix_lo[s % r_lo] + low * fix_hi[s // r_lo]
+            a = cycle[i] = fix[s % r_lo] + low * fix[s // r_lo]
         return cycle
 
     # -- generic helpers ----------------------------------------------------

@@ -20,14 +20,13 @@ from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul
-from struct import pack
 
 from .field import FieldContext, field_from_order
-from .linalg import (CanonicalSubspace, _eliminate, _lanes, _packed_rows,
-                     _pivot_mask, contains, dual, extension_block,
-                     grassmann_adjacent, intersect, is_simple, pack_subspace,
-                     projective_adjacent, reduce_vector, simple_subspace,
-                     format_subspace, parse_subspace)
+from .linalg import (CanonicalSubspace, _lanes, _packed_rows, _pivot_mask,
+                     contains, dual, extension_block, grassmann_adjacent,
+                     intersect, is_simple, pack_subspace, projective_adjacent,
+                     reduce_vector, simple_subspace, format_subspace,
+                     parse_subspace)
 from .qcombin import gaussian
 
 
@@ -62,8 +61,8 @@ class GraySequence:
 # digits, lowest first, on the base's nonpivot columns and 1 in column
 # top-1.  j is converted to or from its whole digit string at once (a
 # bytearray, its bytes for q = 256, a list for q > 256), which goes into
-# a packed row with a 0 at each of the base's pivots and comes out of a
-# row's entries without them.
+# a row with a 0 at each of the base's pivots and comes out of a row's
+# entries without them.
 
 _TO_ALNUM = bytes.maketrans(bytes(range(36)),
                             b"0123456789abcdefghijklmnopqrstuvwxyz")
@@ -81,10 +80,10 @@ def _digit_table(q):
 
 
 def _class_row(c, pivots, top, q):
-    """The representative of class c of a base with these sorted pivots,
-    packed as linalg packs rows (byte lanes for q <= 256, else 16-bit):
-    c's digits (by format for q = 2, 8, 16, bytes for 256, else q^t at a
-    time) on the nonpivots below top-1, 1 at top-1, 0 after."""
+    """The top entries of the representative of class c of a base with
+    these sorted pivots, a bytearray for q <= 256, else a list: c's digits
+    (by format for q = 2, 8, 16, bytes for 256, else q^t at a time) on the
+    nonpivots below top-1 and 1 at top-1."""
     w = top - 1 - len(pivots)
     fmt = _FORMATS.get(q)
     if fmt:
@@ -103,9 +102,7 @@ def _class_row(c, pivots, top, q):
     for p in pivots:
         row.insert(p, 0)
     row.append(1)
-    if q > 256:
-        row = pack("<%dH" % top, *row)
-    return int.from_bytes(row, "little")
+    return row
 
 
 def _row_class(v, pivots, stop, q):
@@ -142,27 +139,26 @@ def _row_class(v, pivots, stop, q):
 # of a block share the base's k-1 rows, so their pairs need no rank.
 
 
-def closing_class_index(base: CanonicalSubspace, succ: CanonicalSubspace):
+def closing_class_index(base, succ, lanes=None, n=0):
     """(c, u): the class c of the block-closing extension of base, given
     the next base, and the row u of succ that names it.
 
     Both bases live in W^(n-1) and meet in codimension 1 there.  Any row
     of succ outside base names the class, which is never 0 (the opening
     class); the last rows, most often the ones outside, are tried first.
+    base and succ are CanonicalSubspaces or, given lanes, as in the codec's
+    reference decode, a walk state (pivots, packed rows, pivot mask) at
+    most n lanes wide and a list of packed rows, u one of them.
     """
-    c, j = _closing_row(_lanes(base.ctx), base.pivots, _packed_rows(base),
-                        _pivot_mask(base), _packed_rows(succ), base.n)
-    return c, succ.rows[j]
-
-
-def _closing_row(lanes, pivots, rows, mask, succ, n):
-    """closing_class_index on packed rows: (c, j) for the base with these
-    pivots, packed rows and pivot mask and the next base's packed rows
-    succ, c read off succ[j]."""
+    rows = succ
+    if lanes is None:
+        lanes, n, rows = _lanes(base.ctx), base.n, succ.rows
+        base = base.pivots, _packed_rows(base), _pivot_mask(base)
+        succ = _packed_rows(succ)
     for j in range(len(succ) - 1, -1, -1):
-        c = _closing_class(lanes, pivots, rows, mask, succ[j], n)
+        c = _closing_class(lanes, *base, succ[j], n)
         if c is not None:
-            return c, j
+            return c, rows[j]
     raise ValueError("successor base equals the current base")
 
 
@@ -172,7 +168,7 @@ def _closing_class(lanes, pivots, rows, mask, x, n):
     it and scaled to lead with 1.  The base is given by its pivots, its
     packed rows (in pivot order) and its pivot mask, as in a codec walk;
     it and x are zero from lane n on."""
-    x = _eliminate(x, rows, mask, lanes, n)
+    x = reduce_vector((rows, mask), x, lanes, n)
     if not x:
         return None
     sh = lanes.sh

@@ -52,12 +52,10 @@ the form of every result and of the file format.  pack_subspace keys a
 subspace by its packed rows.  The codes are built n wide: a subspace of
 W^top is kept in all n columns, zero from column top on, so no level pads
 its items.  extension_block, which adds one row, passes on the ints its
-items share and sets the row's lane in the mask.  Two other modules use
-packed rows: grassmann_gray's class helpers build a class representative
-packed (_class_row) and read a class off a packed vector
-(_closing_class), and the codec's walks keep the item they are at as a
-walk state of pivots, packed rows and pivot mask, changed in place from
-level to level (codec.py).
+items share and sets the row's lane in the mask.  The codec's walks
+keep the item they are at as a walk state, lists of pivots and packed
+rows and a pivot-mask int, changed in place by _put, and reduce against
+it with reduce_vector's packed form, in grassmann_gray._closing_class.
 """
 
 from __future__ import annotations
@@ -405,6 +403,17 @@ def _eliminate(x, rows, mask, lanes: _Lanes, width: int) -> int:
     return x
 
 
+def _put(x, pivots, rows, mask, lanes: _Lanes) -> int:
+    """Insert the packed row x, nonzero and zero on mask, into a walk state:
+    its pivot (its lowest nonzero lane) into pivots, x into rows, both in
+    pivot order as _eliminate needs; return mask with the pivot lane set."""
+    lead = (x & -x).bit_length() - 1 >> lanes.sh
+    j = bisect_left(pivots, lead)
+    pivots.insert(j, lead)
+    rows.insert(j, x)
+    return mask | lanes.mask << (lead << lanes.sh)
+
+
 def _eliminate_entries(v, rows, pivots, lanes: _Lanes, width: int) -> list:
     """_eliminate for a field whose rows add entry by entry, on the
     entries v of x, rows in any order; the result has len(v) entries."""
@@ -446,12 +455,19 @@ def _clearer(ctx: FieldContext, width: int):
     return clear
 
 
-def reduce_vector(a: CanonicalSubspace, v):
-    """Eliminate v against the echelon rows; zero iff v is in the span.
+def reduce_vector(a, v, lanes: _Lanes | None = None, width: int = 0):
+    """Eliminate v against echelon rows; zero iff v is in their span.
 
-    a's rows may be longer than v if they are zero past it.  Entry-wise
-    fields reduce v's entries as they are, with no packing round trip.
+    a is a CanonicalSubspace and v a coordinate vector, which comes back
+    as a list of entries; a's rows may be longer than v if they are zero
+    past it.  Given lanes, as in the codec's walks, a is the packed rows
+    (in pivot order) and pivot mask of a walk state at most width lanes
+    wide, and v a packed row, which comes back packed.  Entry-wise fields
+    reduce v's entries as they are, with no packing round trip.
     """
+    if lanes is not None:
+        rows, mask = a
+        return _eliminate(v, rows, mask, lanes, width)
     lanes, packed = _lanes(a.ctx), _packed_rows(a)
     if not lanes.lanewise:
         return _eliminate_entries(v, packed, a.pivots, lanes, a.n)

@@ -20,7 +20,7 @@ from grayspace.grassmann_gray import (ChoiceSource, ConstraintViolation,
                                       verify_gray, write_gray_file)
 from grayspace.codec import CodecParams, encode
 from grayspace.qcombin import count_lower_bound, gaussian
-from oracles import extend_subspace, unpack_row
+from oracles import extend_subspace
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -101,6 +101,11 @@ def _draw_radix_case(data):
     return q, pivots, top, n, nonpiv, rng
 
 
+def class_row(c, pivots, top, n, q):
+    """_class_row's entries, n wide and zero from top on."""
+    return tuple(_class_row(c, pivots, top, q)) + (0,) * (n - top)
+
+
 def _draw_class(data, q, w, rng):
     """0, 1, the last class or a random one of the q^w classes."""
     kind = data.draw(st.sampled_from(("zero", "one", "last", "random")),
@@ -115,7 +120,7 @@ def _draw_class(data, q, w, rng):
 def test_class_row_and_row_class_match_the_digit_loops(data):
     q, pivots, top, n, nonpiv, rng = _draw_radix_case(data)
     j = _draw_class(data, q, len(nonpiv), rng)
-    row = unpack_row(_class_row(j, pivots, top, q), n, q)
+    row = class_row(j, pivots, top, n, q)
     assert row == (tuple(oracle_rep_vector(q, top, nonpiv, j))
                    + (0,) * (n - top))
     assert _row_class(row, pivots, top - 1, q) == j
@@ -123,7 +128,7 @@ def test_class_row_and_row_class_match_the_digit_loops(data):
     v = [rng.randrange(q) for _ in range(n)]
     c = _row_class(v, pivots, top - 1, q)
     assert c == oracle_class_digits(v, nonpiv, q)
-    back = unpack_row(_class_row(c, pivots, top, q), n, q)
+    back = class_row(c, pivots, top, n, q)
     assert [back[r] for r in nonpiv] == [v[r] for r in nonpiv]
 
 
@@ -137,8 +142,8 @@ def test_class_row_differences_match_the_class_step(data):
     a = _draw_class(data, q, len(nonpiv), rng)
     b = _draw_class(data, q, len(nonpiv), rng)
     step = [ctx.sub(y, x) for x, y in zip(
-        unpack_row(_class_row(a, pivots, top, q), n, q),
-        unpack_row(_class_row(b, pivots, top, q), n, q))]
+        class_row(a, pivots, top, n, q),
+        class_row(b, pivots, top, n, q))]
     assert step == oracle_class_step(ctx.sub, q, nonpiv, n, a, b)
 
 

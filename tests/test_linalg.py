@@ -491,6 +491,11 @@ def test_lane_kernels_match_oracles(case):
     assert L.contains(a, v) == (len(_column_rref(a.rows + (v,), n, ctx)[0])
                                 == a.k)
     assert L.reduce_vector(a, v) == _tuple_reduce(a, v)
+    # the packed form the codec's walks use, on a's packed rows and mask
+    lanes = L._lanes(ctx)
+    assert L.reduce_vector((L._packed_rows(a), L._pivot_mask(a)),
+                           lanes.pack(v), lanes, n) \
+        == lanes.pack(_tuple_reduce(a, v))
     assert (L.pack_subspace(a) == L.pack_subspace(b)) == (a == b)
     assert same == a and L.pack_subspace(same) == L.pack_subspace(a)
     # a subspace made from rows alone, with no packed rows yet
@@ -528,27 +533,27 @@ def test_packed_rows_at_every_codec_level(data):
     k = data.draw(st.integers(1, min(n - 1, 16 if ctx.q == 2 else 6)))
     params = codec.CodecParams(n, k, ctx)
     m = data.draw(st.integers(0, params.size - 1))
-    eliminate = grassmann_gray._eliminate
+    reduce = grassmann_gray.reduce_vector
     bases = []
 
-    def eliminate_checked(x, rows, mask, lanes, width):
+    def reduce_checked(walk, x, lanes, width):
         # every walk state the codec reduces against: the ones encode and
         # decode_fast change level by level and the reference decode's
         # stripped ones and successor encodes; each is an echelon basis in
         # pivot order with the mask of its pivot lanes
-        rows = tuple(rows)
+        rows, mask = tuple(walk[0]), walk[1]
         base = L.CanonicalSubspace(ctx, width, tuple(
             unpack_row(r, width, ctx.q) for r in rows), None)
         base.pivots = tuple(map(L.leading_column, base.rows))
         assert list(base.pivots) == sorted(set(base.pivots))
         assert rows == _packing_of(base) and mask == _mask_of(base)
-        out = eliminate(x, rows, mask, lanes, width)
+        out = reduce(walk, x, lanes, width)
         assert unpack_row(out, width, ctx.q) == tuple(_tuple_reduce(
             base, unpack_row(x, width, ctx.q)))
         bases.append(base)
         return out
 
-    with mock.patch.object(grassmann_gray, "_eliminate", eliminate_checked):
+    with mock.patch.object(grassmann_gray, "reduce_vector", reduce_checked):
         W = codec.encode(params, m)
         assert codec.decode_fast(params, W) == m
         assert codec.decode(params, W) == m
