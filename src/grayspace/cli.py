@@ -8,7 +8,7 @@ Indices and counts can have more decimal digits than the interpreter's cap
 on int <-> str conversion (4300 by default); main lifts the cap while a
 command runs, where the interpreter has one, and an --index too long for
 any index of the code is out of range before it is converted.  _decimal
-prints them, in less than the quadratic time of the interpreter's str.
+prints them in subquadratic time.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def _read_in(path):
 
 
 def _decimal(m: int) -> str:
-    """str(m) for an int m >= 0, divide and conquer: m is cut in halves of
-    2^(12+j) bits, which are joined in decimal arithmetic (subquadratic)."""
+    """str(m) for an int m >= 0: m cut in halves of 2^(12+j) bits, joined
+    in decimal arithmetic."""
     if m.bit_length() <= 1 << 15:
         return str(m)
     import decimal
@@ -155,10 +155,8 @@ def cmd_decode(args) -> int:
         raise CliError("matrix is %dx%d ambient %d, expected k=%d n=%d"
                        % (sub.k, sub.n, sub.n, args.k, args.n),
                        EXIT_DIMENSION)
-    if args.via_dual:
-        m = codec.decode_via_dual(params, sub)
-    else:
-        m = codec.decode_fast(params, sub)
+    m = (codec.decode_via_dual if args.via_dual else codec.decode_fast)(
+        params, sub)
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "q": ctx.q,
                           "index": _decimal(m)}))
@@ -170,10 +168,8 @@ def cmd_decode(args) -> int:
 def cmd_count(args) -> int:
     ctx = _field(args.q)
     _check_nk(args.n, args.k)
-    if args.lower_bound:
-        value = count_lower_bound(args.n, args.k, ctx.q)
-    else:
-        value = gaussian(args.n, args.k, ctx.q)
+    value = (count_lower_bound if args.lower_bound else gaussian)(
+        args.n, args.k, ctx.q)
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "q": ctx.q,
                           "lower_bound": bool(args.lower_bound),

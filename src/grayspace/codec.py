@@ -2,38 +2,29 @@
 
 encode maps an index m to the m-th subspace of the simple cyclic optimal
 (n,k;q)-code without materializing the sequence; decode_fast inverts it.
-Both follow the recursion the construction follows: an item is either the
-simple subspace or, past its trailing zero columns, an extension of a
-(k-1)-dim base of W^(top-1) (block i, the base's index, at position jpos)
-by one row ending in 1 at column top-1.
+An item is either the simple subspace or, past its trailing zero columns,
+an extension of a (k-1)-dim base of W^(top-1) (block i, the base's index,
+at position jpos) by one row ending in 1 at column top-1.  In canonical
+form a placed row never changes, so the matrix is a list of such levels
+above a simple subspace.
 
-In canonical form a placed row never changes, so the canonical matrix is
-a list of levels, one extending row each, above a simple subspace.  The
-walks hold the item they are at as one walk state, lists of pivots and
-packed rows (linalg's lanes) and a pivot-mask int, changed in place.
-encode fixes each level's (top, i, jpos) off the Gaussian counts top
-down, then goes up from the simple subspace: per level it reads the
-block's closing class between the base's pivots and puts the class's row
-(_class_row) into the state, which it wraps as a CanonicalSubspace once,
-at the end.  decode_fast goes up the input's rows in ascending order of
-top, the levels bottom up: per level it checks the canonical-extension
-conditions against the rows below, reads the class (_row_class) and the
-closing class, then the index, and puts the row into the state.
+The walks hold the item they are at as a walk state: lists of pivots and
+packed rows (linalg's lanes) and a pivot-mask int, changed in place by
+linalg._put.  encode fixes each level's (top, i, jpos) off the Gaussian
+counts top down, then goes up from the simple subspace putting each
+level's class row (_class_row) into the state, which it wraps as one
+CanonicalSubspace at the end.  decode_fast goes up the input's rows in
+ascending order of top, checks each level against the rows below, reads
+its class (_row_class) and puts the row into the state.  A block's
+closing class depends on its base's successor: every level hands up a
+function giving a packed vector that spans the item's successor modulo
+the item (_next_direction), so no successor is ever encoded.
 
-The closing class depends on the base's successor.  Every level hands
-up, with its row, the means to build one packed vector x spanning the
-item's successor modulo the item from its block position
-(_next_direction): a block with a successor builds the x of its base and
-reads its closing class off it in one vector reduction, and no successor
-is ever encoded.
-
-decode is the plain reference decode_fast is tested against: top-down
-it strips one zero column at a time or pops that column's row off the
-state; bottom-up it puts the rows back and takes each closing class off
-the rows of an explicitly encoded successor.  Those encodes start from
-snapshots of the state, the decode's bases and closing rows, and share
-what they build: each builds one level, O(k) in all.  decode_via_dual
-and the command line use decode_fast.
+decode is the plain reference decode_fast is tested against: it pops the
+levels off the state top-down, puts them back bottom-up and reads each
+closing class off an explicitly encoded successor.  Those encodes start
+from snapshots of the state and share what they build, one level each.
+decode_via_dual and the command line use decode_fast.
 """
 
 from __future__ import annotations
@@ -77,11 +68,9 @@ def _encode(n, k, q, ctx, m, width_n=None, built=None):
     the successor (item m+1, cyclically) modulo the item, None for k = 0
     or k = n.  built, if given, maps (n, k, m) to the state, as tuples,
     and x of each level known so far: the top-down pass stops at the
-    first one there, and each level built goes in.
-    """
+    first one there, and each level built goes in."""
     width_n, keep, x = width_n or n, built is not None, None
     built, lanes = built if keep else {}, _lanes(ctx)
-    sh = lanes.sh
     # top-down: each level's base is item i of the (top-1, k-1) code
     levels = []
     while 0 < k < n and (n, k, m) not in built:
@@ -94,17 +83,15 @@ def _encode(n, k, q, ctx, m, width_n=None, built=None):
         if top == k:
             x = partial(_unit, lanes, k)
             break
-        width = q ** (top - k)
-        g2 = gaussian_product_tree(top - 1, k - 1, q)
+        width, g2 = q ** (top - k), gaussian_product_tree(top - 1, k - 1, q)
         t = m - g1 + 1
-        i = (t // width) % g2
-        jpos = t % width
+        i, jpos = (t // width) % g2, t % width
         levels.append((n, k, m, top, i, jpos, width, g2))
         n, k, m = top - 1, k - 1, i
     # bottom-up from the level found in built or the simple subspace
     (pivots, packed, mask), x = built.get((n, k, m)) or (
-        (range(k), [1 << (i << sh) for i in range(k)], (1 << (k << sh)) - 1),
-        x)
+        (range(k), [1 << (i << lanes.sh) for i in range(k)],
+         _unit(lanes, k) - 1), x)
     pivots, packed = list(pivots), list(packed)
     for n, k, m, top, i, jpos, width, g2 in reversed(levels):
         # a lone block (g2 = 1) runs in plain order and closes on width-1
@@ -139,11 +126,9 @@ def _decode(W):
     """The index of W, re-wrapped by _check_input, in the (W.n, W.k) code;
     the successor encodes of one decode start from snapshots of its walk
     state and share the levels they build in built (see _encode)."""
-    n, k, ctx, levels = W.n, W.k, W.ctx, []
-    lanes = _lanes(ctx)
-    sh, lane = lanes.sh, lanes.mask
+    n, k, ctx, levels, lanes = W.n, W.k, W.ctx, [], _lanes(W.ctx)
+    sh, lane, mask = lanes.sh, lanes.mask, _pivot_mask(W)
     pivots, packed = list(W.pivots), list(_packed_rows(W))
-    mask = _pivot_mask(W)
     while 0 < k < n:
         s = n - 1 << sh                     # column n-1 on, as no row
         if not max(packed) >> s:            # reaches past it
@@ -188,16 +173,14 @@ def _next_direction(lanes, n, k, top, i, jpos, width, last, pivots):
     The item extends a base of W^(top-1), with these pivots, by the class
     at position jpos of block i, and the block closes with class last.
     The successor, and so the vector, is:
-    - for the simple subspace, item 1, the first item leaving W^k: e_k,
-      which the walks write themselves where they reach it;
+    - for the simple subspace, item 1, leaving W^k: e_k (the walks write
+      it themselves);
     - for the last item of the code, the simple subspace: e_{k-1};
     - for the last item of a stripped level-top code, the first item
-      leaving W^top: block 0 at position 1, whose class is 1 for k = 1
-      and 2 otherwise (by the first rule a simple base closes its block
-      with class 1);
+      leaving W^top: block 0 at position 1, class 1 for k = 1 and 2
+      otherwise (a simple base closes its block with class 1);
     - at a block change, class 0 of the next block: e_{top-1};
-    - inside a block, the next class: its representative, equal modulo
-      the item to the difference of the two representatives.
+    - inside a block, the next class's representative.
     """
     if i == 0 and jpos == 0:
         if top == n:
@@ -214,8 +197,7 @@ def _decode_fast(W):
     """(index, x): the index of W, re-wrapped by _check_input, in the
     (W.n, W.k) code and, as in _encode, a function x() giving a packed
     vector spanning the successor (item index+1, cyclically) modulo the
-    item; the mirror of _encode.
-    """
+    item; the mirror of _encode."""
     if W.k == 0 or W.k == W.n:
         return 0, None
     q, lanes = W.ctx.q, _lanes(W.ctx)
@@ -252,12 +234,10 @@ def _decode_fast(W):
 
 def _check_input(params, W):
     """Reject a subspace of the wrong shape or field, entries outside the
-    field, or rank below k; return W re-wrapped, its pivots the rows'
+    field, or rank below k (nonzero rows with strictly increasing leading
+    columns certify rank k); return W re-wrapped, its pivots the rows'
     leading columns and its packed rows and pivot mask built anew, as W's
-    own are not trusted.
-
-    Nonzero rows with strictly increasing leading columns certify rank k.
-    """
+    own are not trusted."""
     if W.n != params.n or W.k != params.k:
         raise ValueError("subspace has parameters (%d, %d), codec expects "
                          "(%d, %d)" % (W.n, W.k, params.n, params.k))
@@ -280,22 +260,17 @@ def decode(params: CodecParams, W: CanonicalSubspace) -> int:
     anything else raises ValueError.  An echelon basis that passes these
     checks but is not the canonical matrix decodes to the index of the
     subspace it spans.  Subspaces from encode, canonicalize or
-    parse_subspace are canonical.
-
-    This is the reference: it encodes each block's successor base,
-    starting from the bases it decoded and their closing rows, and reads
-    the block's closing class off it.
+    parse_subspace are canonical.  This is the reference: it reads each
+    block's closing class off an encode of the block's successor base.
     """
     return _decode(_check_input(params, W))
 
 
 def decode_fast(params: CodecParams, W: CanonicalSubspace) -> int:
-    """Index of W, as decode, without re-encoding any successor base.
-
-    The closing class of every block comes from the successor direction
-    that the level below computes and hands up (see _decode_fast); decode
-    is the reference.  Input is checked as in decode.
-    """
+    """Index of W, as decode, without re-encoding any successor base:
+    each block's closing class comes from the successor direction the
+    level below hands up (see _decode_fast).  Input is checked as in
+    decode, the reference."""
     return _decode_fast(_check_input(params, W))[0]
 
 

@@ -258,16 +258,13 @@ class FieldContext:
         self.neg = lambda a: exp[log[a] + half]
 
     def _powers(self, g):
-        """[g^0, ..., g^(q-2)], stepping by g through two tables.
-
-        An index's base-p digits are its coordinates over GF(p), so times
-        g is linear in them: g*a = t_lo[a % p^h] + t_hi[a // p^h], added
-        digit by digit mod p.  The tables hold radix r = 2p - 1 digits,
-        which sum without a carry; two more map each half back to radix p.
-        """
+        """[g^0, ..., g^(q-2)].  Times g is linear in an index's base-p
+        digits: g*a = t_lo[a % p^h] + t_hi[a // p^h], the tables' digits
+        in radix r = 2p - 1 (so they sum without a carry), and fix maps
+        each half of a sum back to its digits mod p."""
         base, p, m, q, deg = self.base, self.p, self.m, self.q, self.degree
-        low, r, h, bq = p ** (m // 2), 2 * p - 1, m // 2, base.q
-        step = digits_of(g, bq, deg)
+        h, r, bq = m // 2, 2 * p - 1, base.q
+        low, step = p ** h, digits_of(g, bq, deg)
 
         def times_g(a):         # g*a, its base-p digits read in radix r
             a = _pmod(base, _pmul(base, step, digits_of(a, bq, deg)),

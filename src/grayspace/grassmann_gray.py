@@ -59,10 +59,8 @@ class GraySequence:
 
 # Class j of a base of W^(top-1) is represented in W^top by j's base-q
 # digits, lowest first, on the base's nonpivot columns and 1 in column
-# top-1.  j is converted to or from its whole digit string at once (a
-# bytearray, its bytes for q = 256, a list for q > 256), which goes into
-# a row with a 0 at each of the base's pivots and comes out of a row's
-# entries without them.
+# top-1.  j is converted to or from its whole digit string at once, which
+# goes into a row with a 0 at each pivot and comes out without them.
 
 _TO_ALNUM = bytes.maketrans(bytes(range(36)),
                             b"0123456789abcdefghijklmnopqrstuvwxyz")
@@ -80,10 +78,9 @@ def _digit_table(q):
 
 
 def _class_row(c, pivots, top, q):
-    """The top entries of the representative of class c of a base with
-    these sorted pivots, a bytearray for q <= 256, else a list: c's digits
-    (by format for q = 2, 8, 16, bytes for 256, else q^t at a time) on the
-    nonpivots below top-1 and 1 at top-1."""
+    """The top entries (a bytearray for q <= 256, else a list) of class c's
+    representative for a base with these sorted pivots: c's digits (by
+    format for q = 2, 8, 16, bytes for 256, else q^t at a time)."""
     w = top - 1 - len(pivots)
     fmt = _FORMATS.get(q)
     if fmt:
@@ -146,10 +143,8 @@ def closing_class_index(base, succ, lanes=None, n=0):
     Both bases live in W^(n-1) and meet in codimension 1 there.  Any row
     of succ outside base names the class, which is never 0 (the opening
     class); the last rows, most often the ones outside, are tried first.
-    base and succ are CanonicalSubspaces or, given lanes, as in the codec's
-    reference decode, a walk state (pivots, packed rows, pivot mask) at
-    most n lanes wide and a list of packed rows, u one of them.
-    """
+    base and succ are CanonicalSubspaces or, given lanes, a walk state at
+    most n lanes wide and a list of packed rows, u one of them."""
     rows = succ
     if lanes is None:
         lanes, n, rows = _lanes(base.ctx), base.n, succ.rows
@@ -163,11 +158,10 @@ def closing_class_index(base, succ, lanes=None, n=0):
 
 
 def _closing_class(lanes, pivots, rows, mask, x, n):
-    """The class the packed vector x picks modulo a base, or None when x
-    lies in it: the digits between the base's pivots of x reduced against
-    it and scaled to lead with 1.  The base is given by its pivots, its
-    packed rows (in pivot order) and its pivot mask, as in a codec walk;
-    it and x are zero from lane n on."""
+    """The class the packed vector x picks modulo a base given as a walk
+    state (pivots, packed rows, pivot mask), or None when x lies in it:
+    x's digits between the pivots, reduced and scaled to lead with 1.  The
+    base and x are zero from lane n on."""
     x = reduce_vector((rows, mask), x, lanes, n)
     if not x:
         return None

@@ -13,49 +13,41 @@ Packed rows.  The kernels rref and tau (and so canonicalize, dual,
 subspace_sum, intersect, parse_subspace and enumerate_subspaces),
 reduce_vector (and so contains), stacked_rank and extension_block work on
 one row form for every field: one Python int per row, column c in the
-lane at bit c << sh.  sh is 3 for q <= 256, so a row is
-int.from_bytes(bytearray(row), "little") and column c is the byte at bits
-8c..8c+7; above 256 it is 4, 16-bit lanes, which hold every field up to
-field.MAX_FIELD_SIZE.  The field's _Lanes holds the lane width and the
-arithmetic; only row clearing (_clearer for one row, _eliminate for
-several) and scaling differ from field to field:
+lane at bit c << sh.  sh is 3 for q <= 256 (a row is
+int.from_bytes(bytearray(row), "little")), else 4: 16-bit lanes hold every
+field up to field.MAX_FIELD_SIZE.  The field's _Lanes holds the lane
+layout and the arithmetic; only row clearing (_clearer for one row,
+_eliminate for several) and scaling differ from field to field:
 - Scaling by f is bytes.translate with the 256-byte table e -> f*e for
-  q <= 256, one table per (field, f), built the first time f is used;
-  above 256 it goes entry by entry.
+  q <= 256, one table per (field, f), built on first use; above 256 it
+  goes entry by entry.
 - Rows add lane by lane over the lanewise fields, those with byte lanes
-  of characteristic 2 or prime below 128.  In characteristic 2 that is
-  XOR, and over GF(2) every multiplier is 1, so no table is read.  Over
-  a prime p, every lane of a sum that reached p then loses p:
-  x -= (((x + (128-p)*ONES) & (0x80*ONES)) >> 7) * p, with ONES = 1 in
-  every lane.  Two residues below p sum to at most 2p - 2 <= 252, so
-  adding 128 - p sets bit 7 exactly when the sum reached p and no lane
-  carries into its neighbour.
-- Every other field adds entry by entry with field calls on the unpacked
-  rows: the odd extension fields (q = 9, 25, 27, ..., 243), whose
-  addition works digit by digit; the primes 131..251, whose sums
-  overflow a byte; and every q > 256.  Their vectors reduce unpacked.
+  of characteristic 2 or prime below 128: XOR in characteristic 2 (over
+  GF(2) every multiplier is 1, so no table is read); over a prime p every
+  lane of a sum that reached p then loses p,
+  x -= (((x + (128-p)*ONES) & (0x80*ONES)) >> 7) * p, ONES = 1 in every
+  lane.  Two residues below p sum to at most 2p - 2 <= 252, so adding
+  128 - p sets bit 7 exactly when the sum reached p, with no carry.
+- Every other field (the odd extension fields q = 9, 25, 27, ..., 243,
+  the primes 131..251 and every q > 256) adds entry by entry with field
+  calls on the unpacked rows.
 - Over a lanewise field a reduction (_eliminate) clears only the lanes
-  where x meets the pivot mask, lowest first, one step per hit: an
-  echelon row is zero below its pivot.
-- rref and tau go row by row, not column by column: x & -x gives a row's
-  lowest nonzero lane and x.bit_length() its top one, so neither scans
-  empty columns.
+  where x meets the pivot mask, lowest first: an echelon row is zero
+  below its pivot.  rref and tau go row by row: x & -x gives a row's
+  lowest nonzero lane and x.bit_length() its top one.
 An entry outside range(q) would spill into the next lane, and a row
 longer than n past it, so rref, contains, canonicalize and parse_subspace
 reject both (_check_entries).
 
-A CanonicalSubspace keeps its packed rows in the `packed` slot (filled by
-canonicalize, dual, enumerate_subspaces and the codec's encode) and the
-bits of its pivot lanes in `pivot_mask` (filled by canonicalize,
-simple_subspace and encode), each else built on first use; tuples stay
-the form of every result and of the file format.  pack_subspace keys a
-subspace by its packed rows.  The codes are built n wide: a subspace of
-W^top is kept in all n columns, zero from column top on, so no level pads
-its items.  extension_block, which adds one row, passes on the ints its
-items share and sets the row's lane in the mask.  The codec's walks
-keep the item they are at as a walk state, lists of pivots and packed
-rows and a pivot-mask int, changed in place by _put, and reduce against
-it with reduce_vector's packed form, in grassmann_gray._closing_class.
+A CanonicalSubspace keeps its packed rows in the `packed` slot and the
+bits of its pivot lanes in `pivot_mask`, each built on first use where no
+producer filled it; tuples stay the form of every result and of the file
+format.  The codes are built n wide: a subspace of W^top is kept in all n
+columns, zero from column top on.  extension_block, which adds one row,
+passes on the ints its items share.  The codec's walks keep the item they
+are at as a walk state, lists of pivots and packed rows and a pivot-mask
+int, changed in place by _put, and reduce against it with
+reduce_vector's packed form.
 """
 
 from __future__ import annotations
@@ -97,15 +89,11 @@ class CanonicalSubspace:
 
 
 class _Lanes(dict):
-    """The packed-row arithmetic of one field (see the module docstring).
-
-    sh is 3 (byte lanes) for q <= 256 and 4 (16-bit lanes) above, and
-    mask holds one lane's bits.  lanewise tells whether rows add lane by
-    lane (XOR in characteristic 2, the SWAR sum of a prime below 128, byte
-    lanes only) or entry by entry; over a lanewise field neg_inv[a] = -1/a
-    (0 for a = 0).  For q <= 256, self[f] is the translate table e -> f*e,
-    built the first time f is used.
-    """
+    """The packed-row arithmetic of one field (see the module docstring):
+    sh is 3 (byte lanes) for q <= 256, else 4, and mask one lane's bits;
+    lanewise tells whether rows add lane by lane, and then neg_inv[a] is
+    -1/a (0 for a = 0).  For q <= 256, self[f] is the translate table
+    e -> f*e, built the first time f is used."""
 
     __slots__ = ("ctx", "p", "sh", "mask", "lanewise", "neg_inv")
 
@@ -176,9 +164,8 @@ def _check_entries(rows, q: int, n: int | None = None):
 
 def _pack_rows(rows, lanes: _Lanes) -> list:
     if lanes.sh == 3:
-        # byte lanes inlined: this runs once per row of every packed item,
-        # and a bytearray is built from a row in about half the time of
-        # bytes
+        # byte lanes inlined, as this runs once per row of every packed
+        # item; a bytearray builds in about half the time of bytes
         return [int.from_bytes(bytearray(r), "little") for r in rows]
     return list(map(lanes.pack, rows))
 
@@ -459,15 +446,13 @@ def reduce_vector(a, v, lanes: _Lanes | None = None, width: int = 0):
     """Eliminate v against echelon rows; zero iff v is in their span.
 
     a is a CanonicalSubspace and v a coordinate vector, which comes back
-    as a list of entries; a's rows may be longer than v if they are zero
-    past it.  Given lanes, as in the codec's walks, a is the packed rows
-    (in pivot order) and pivot mask of a walk state at most width lanes
-    wide, and v a packed row, which comes back packed.  Entry-wise fields
-    reduce v's entries as they are, with no packing round trip.
+    as a list of entries; a's rows may be longer than v if zero past it.
+    Given lanes, as in the codec's walks, a is the packed rows and pivot
+    mask of a walk state at most width lanes wide and v a packed row,
+    which comes back packed.
     """
     if lanes is not None:
-        rows, mask = a
-        return _eliminate(v, rows, mask, lanes, width)
+        return _eliminate(v, *a, lanes, width)
     lanes, packed = _lanes(a.ctx), _packed_rows(a)
     if not lanes.lanewise:
         return _eliminate_entries(v, packed, a.pivots, lanes, a.n)
@@ -481,15 +466,12 @@ def stacked_rank(a: CanonicalSubspace, b: CanonicalSubspace) -> int:
     """rank([A; B]), the dimension of the sum of A and B."""
     _check_ambient(a, b)
     lanes = _lanes(a.ctx)
-    # A's rows and B's rows independent of them, in pivot order, each
-    # pivoted on its lowest nonzero lane (outside mask once cleared)
-    rows, mask = list(_packed_rows(a)), _pivot_mask(a)
+    # A's rows and then B's rows independent of them, as a walk state
+    pivots, rows, mask = list(a.pivots), list(_packed_rows(a)), _pivot_mask(a)
     for x in _packed_rows(b):
         x = _eliminate(x, rows, mask, lanes, a.n)
         if x:
-            at = (x & -x).bit_length() - 1 >> lanes.sh << lanes.sh
-            rows.insert((mask & (1 << at) - 1).bit_count() >> lanes.sh, x)
-            mask |= lanes.mask << at
+            mask = _put(x, pivots, rows, mask, lanes)
     return len(rows)
 
 

@@ -389,6 +389,11 @@ def test_closing_class_from_direction_matches_reference():
             outside = [u for u in succ.rows if not L.contains(base, u)]
             # the row handed back is one of them
             assert named in outside
+            # the same on a codec walk state and packed rows
+            lanes = L._lanes(ctx)
+            walk = (base.pivots, L._packed_rows(base), L._pivot_mask(base))
+            assert closing_class_index(walk, L._packed_rows(succ), lanes,
+                                       n) == (want, lanes.pack(named))
             for u in outside:
                 for alpha in range(1, q):
                     x = [ctx.mul(alpha, t) for t in u]
